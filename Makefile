@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order test race race-vplane race-gateway race-tenant race-taint race-order chaos bench metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order fuzz-verify test race race-vplane race-gateway race-tenant race-taint race-order chaos bench metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-taint/race-order; the focused
 # targets exist for fast iteration.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-taint race-order fuzz-disasm fuzz-taint fuzz-order
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-taint race-order fuzz-disasm fuzz-taint fuzz-order fuzz-verify
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,13 @@ fuzz-taint:
 # automata (no panics, declared errors only, deterministic reports).
 fuzz-order:
 	$(GO) test -fuzz=FuzzOrderPass -fuzztime=$(FUZZTIME) -run '^$$' ./internal/order/
+
+# Short coverage-guided smoke of the whole cold verification path over
+# arbitrary object bytes (no panics, declared errors only, deterministic
+# images). The seeds are real binaries of tens of KiB, so minimisation of
+# each new input is capped to keep the smoke short.
+fuzz-verify:
+	$(GO) test -fuzz=FuzzVerifyImage -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run '^$$' ./internal/runtime/
 
 test:
 	$(GO) test ./...

@@ -160,12 +160,9 @@ func BenchmarkLoaderRelocate(b *testing.B) {
 	o := compiledObject(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	l := enclave.NewLayout(enclave.DefaultConfig())
 	for i := 0; i < b.N; i++ {
-		e, err := enclave.New(enclave.DefaultConfig(), []byte("bench"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := loader.Load(e, o); err != nil {
+		if _, err := loader.Relocate(l, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,18 +170,11 @@ func BenchmarkLoaderRelocate(b *testing.B) {
 
 func BenchmarkVerifier(b *testing.B) {
 	o := compiledObject(b)
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("bench"))
+	ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		b.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		b.Fatal(err)
-	}
+	text := ld.Text
 	var offs []int64
 	for _, t := range ld.BranchTargets {
 		offs = append(offs, int64(t-ld.TextBase))

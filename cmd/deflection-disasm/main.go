@@ -101,21 +101,12 @@ func run() int {
 			fmt.Fprintln(os.Stderr, perr)
 			return 2
 		}
-		e, eerr := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
-		if eerr != nil {
-			fmt.Fprintln(os.Stderr, eerr)
-			return 1
-		}
-		ld, lerr := loader.Load(e, o)
+		ld, lerr := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 		if lerr != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", lerr)
 			return 1
 		}
-		text, terr := ld.TextBytes()
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, terr)
-			return 1
-		}
+		text := ld.Text
 		var offs []int64
 		for _, t := range ld.BranchTargets {
 			offs = append(offs, int64(t-ld.TextBase))
@@ -229,27 +220,18 @@ func dumpCFG(o *obj.Object, format string) int {
 	return 0
 }
 
-// dumpTaintCFG loads and relocates the object exactly as the runtime
-// would, runs a full p1-p7 verification capturing the P7 taint report,
-// and renders the CFG over the relocated text with per-block register
-// taint-in/out masks and inline findings. The verdict goes to stderr so
+// dumpTaintCFG relocates the object exactly as the runtime would, runs a
+// full p1-p7 verification capturing the P7 taint report, and renders the
+// CFG over the relocated text with per-block register taint-in/out masks
+// and inline findings. The verdict goes to stderr so
 // dot output on stdout stays valid graphviz.
 func dumpTaintCFG(o *obj.Object, format string) int {
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "load: %v\n", err)
 		return 1
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
+	text := ld.Text
 	entryOff := int64(ld.Entry - ld.TextBase)
 	var offs []int64
 	for _, t := range ld.BranchTargets {
@@ -299,27 +281,18 @@ func dumpTaintCFG(o *obj.Object, format string) int {
 	return 0
 }
 
-// dumpOrderCFG loads and relocates the object exactly as the runtime
-// would, runs a full p1-p8 verification capturing the P8 orderliness
-// report, and renders the CFG over the relocated text with per-block
-// reachable protocol-state sets and inline findings. The verdict goes to
+// dumpOrderCFG relocates the object exactly as the runtime would, runs a
+// full p1-p8 verification capturing the P8 orderliness report, and renders
+// the CFG over the relocated text with per-block reachable protocol-state
+// sets and inline findings. The verdict goes to
 // stderr so dot output on stdout stays valid graphviz.
 func dumpOrderCFG(o *obj.Object, format string) int {
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("disasm"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "load: %v\n", err)
 		return 1
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
+	text := ld.Text
 	entryOff := int64(ld.Entry - ld.TextBase)
 	var offs []int64
 	for _, t := range ld.BranchTargets {

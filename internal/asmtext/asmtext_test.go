@@ -165,19 +165,11 @@ func TestHandWrittenAttackRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("t"))
+	ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = verifier.Verify(text, verifier.Options{
+	_, err = verifier.Verify(ld.Text, verifier.Options{
 		Required:    policy.SetP1,
 		EntryOffset: int64(ld.Entry - ld.TextBase),
 	})

@@ -52,18 +52,11 @@ func CFA(quick bool) (*CFAResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: cfa %s: %w", k.Name, err)
 		}
-		e, err := enclave.New(enclave.DefaultConfig(), []byte("bench-cfa"))
-		if err != nil {
-			return nil, err
-		}
-		ld, err := loader.Load(e, o)
+		ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 		if err != nil {
 			return nil, fmt.Errorf("bench: cfa %s: %w", k.Name, err)
 		}
-		text, err := ld.TextBytes()
-		if err != nil {
-			return nil, err
-		}
+		text := ld.Text
 		var targets []int64
 		for _, t := range ld.BranchTargets {
 			targets = append(targets, int64(t-ld.TextBase))

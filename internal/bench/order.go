@@ -89,18 +89,11 @@ func Order(quick bool) (*OrderResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: order %s: %w", w.name, err)
 		}
-		e, err := enclave.New(enclave.DefaultConfig(), []byte("bench-order"))
-		if err != nil {
-			return nil, err
-		}
-		ld, err := loader.Load(e, o)
+		ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
 		if err != nil {
 			return nil, fmt.Errorf("bench: order %s: %w", w.name, err)
 		}
-		text, err := ld.TextBytes()
-		if err != nil {
-			return nil, err
-		}
+		text := ld.Text
 		var targets []int64
 		for _, t := range ld.BranchTargets {
 			targets = append(targets, int64(t-ld.TextBase))

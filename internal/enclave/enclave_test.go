@@ -320,3 +320,26 @@ func TestSGXv2CodePermissions(t *testing.T) {
 		t.Error("layout flag lost")
 	}
 }
+
+// TestNewLayoutMatchesNew: NewLayout resolves exactly the address map New
+// launches with, for every kind of configuration, and allocates nothing.
+func TestNewLayoutMatchesNew(t *testing.T) {
+	threaded := DefaultConfig()
+	threaded.Threads = 3
+	v2 := DefaultConfig()
+	v2.SGXv2 = true
+	odd := DefaultConfig()
+	odd.CodeCap, odd.HeapCap = PageSize+1, 3*PageSize-5
+	for _, cfg := range []Config{DefaultConfig(), threaded, v2, odd} {
+		e, err := New(cfg, []byte("layout"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l := NewLayout(cfg); l != e.Layout {
+			t.Errorf("NewLayout(%+v) = %+v, New laid out %+v", cfg, l, e.Layout)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = NewLayout(PaperConfig()) }); n != 0 {
+		t.Errorf("NewLayout allocates %v times", n)
+	}
+}

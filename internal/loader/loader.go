@@ -1,13 +1,16 @@
 // Package loader implements the bootstrap enclave's dynamic loader (paper
 // Section IV-D and Fig. 6): it parses the relocatable target binary received
-// through the ECall interface, rebases its symbols, copies the sections into
-// the enclave's RWX code region and RW heap, translates the indirect-branch
-// target list into in-enclave addresses, and reserves the shadow stack and
-// guard pages. After verification, its immediate rewriter (rewrite.go)
-// patches the annotation placeholder bounds with the real enclave addresses.
+// through the ECall interface, rebases its symbols for the enclave's
+// address map, relocates the sections and translates the indirect-branch
+// target list into in-enclave addresses. The loader only stages the result
+// in memory it owns; after verification, its immediate rewriter
+// (rewrite.go) patches the annotation placeholder bounds in the staged text
+// with the real enclave addresses, and the runtime installs the bytes into
+// enclave memory.
 package loader
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -18,9 +21,14 @@ import (
 // ErrTooLarge is returned when a section exceeds its enclave region.
 var ErrTooLarge = errors.New("loader: section does not fit enclave region")
 
-// Loaded describes a target binary after relocation into an enclave.
+// ErrUnresolved is returned when the object's symbols, relocations, branch
+// targets or entry point do not link.
+var ErrUnresolved = errors.New("loader: unresolved object")
+
+// Loaded describes a target binary relocated for an enclave layout.
 type Loaded struct {
-	Enclave *enclave.Enclave
+	// Layout is the enclave address map the binary was relocated for.
+	Layout enclave.Layout
 
 	// Entry is the absolute address of the entry symbol.
 	Entry uint64
@@ -29,30 +37,36 @@ type Loaded struct {
 	// DataBase is where .data begins (followed by .bss); HeapFree is the
 	// first free heap address after .bss, available to the program.
 	DataBase, HeapFree uint64
+
+	// Text is the relocated code destined for [TextBase, TextEnd);
+	// RewriteImmediates patches it in place.
+	Text []byte
+	// Data is the initial [DataBase, HeapFree) segment: relocated .data
+	// followed by zeroed .bss.
+	Data []byte
+	// Table is the content of the read-only branch-table region:
+	// BranchTargets as little-endian 64-bit words.
+	Table []byte
 	// BranchTargets are the translated in-enclave addresses of the
-	// indirect-branch target list, in list order. They are also written
-	// to the enclave's read-only branch-table region.
+	// indirect-branch target list, in list order.
 	BranchTargets []uint64
 	// Symbols maps every object symbol to its absolute loaded address.
 	Symbols map[string]uint64
-	// Object is the parsed input object (text NOT relocated; the
-	// authoritative relocated bytes live in enclave memory).
+	// Object is the parsed input object (its text is not relocated).
 	Object *obj.Object
 }
 
-// TextBytes reads the relocated text back out of enclave memory.
-func (ld *Loaded) TextBytes() ([]byte, error) {
-	b, f := ld.Enclave.Mem.Read(ld.TextBase, int(ld.TextEnd-ld.TextBase))
-	if f != nil {
-		return nil, f
-	}
-	return b, nil
-}
+// TextBytes returns the staged relocated text (rewritten once
+// RewriteImmediates has run).
+func (ld *Loaded) TextBytes() ([]byte, error) { return ld.Text, nil }
 
-// Load relocates o into e.
-func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) {
-	l := e.Layout
+// Load relocates o for e's layout; it does not write e's memory.
+func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) { return Relocate(e.Layout, o) }
 
+// Relocate rebases o for layout l and stages the relocated text, the
+// initial data segment and the branch table in the returned Loaded. It
+// allocates no enclave.
+func Relocate(l enclave.Layout, o *obj.Object) (*Loaded, error) {
 	textBase := l.CodeBase
 	if textBase+uint64(len(o.Text)) > l.CodeEnd {
 		return nil, fmt.Errorf("%w: text %d bytes > code region %d", ErrTooLarge, len(o.Text), l.CodeEnd-l.CodeBase)
@@ -79,88 +93,67 @@ func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) {
 		case obj.SecBSS:
 			base = bssBase
 		default:
-			return nil, fmt.Errorf("loader: symbol %q in unknown section", s.Name)
+			return nil, fmt.Errorf("%w: symbol %q in unknown section", ErrUnresolved, s.Name)
 		}
 		syms[s.Name] = base + uint64(s.Offset)
 	}
 
-	// Apply relocations on private copies of the sections.
+	// Apply relocations on private copies of the sections; the heap
+	// segment holds .data followed by zeroed .bss.
 	text := append([]byte(nil), o.Text...)
-	data := append([]byte(nil), o.Data...)
+	data := make([]byte, heapFree-dataBase)
+	copy(data, o.Data)
 	for _, r := range o.Relocs {
 		addr, ok := syms[r.Symbol]
 		if !ok {
-			return nil, fmt.Errorf("loader: relocation against undefined symbol %q", r.Symbol)
+			return nil, fmt.Errorf("%w: relocation against undefined symbol %q", ErrUnresolved, r.Symbol)
 		}
-		v := addr + uint64(r.Addend)
 		var sec []byte
 		switch r.Section {
 		case obj.SecText:
 			sec = text
 		case obj.SecData:
-			sec = data
+			sec = data[:len(o.Data)]
 		default:
-			return nil, fmt.Errorf("loader: relocation in unsupported section %v", r.Section)
+			return nil, fmt.Errorf("%w: relocation in unsupported section %v", ErrUnresolved, r.Section)
 		}
 		if r.Offset < 0 || int(r.Offset)+8 > len(sec) {
-			return nil, fmt.Errorf("loader: relocation site %d out of range", r.Offset)
+			return nil, fmt.Errorf("%w: relocation site %d out of range", ErrUnresolved, r.Offset)
 		}
-		putU64(sec[r.Offset:], v)
+		binary.LittleEndian.PutUint64(sec[r.Offset:], addr+uint64(r.Addend))
 	}
 
-	// Copy sections into the enclave. Code pages are RWX under SGXv1; the
-	// heap region holds .data followed by zeroed .bss.
-	if f := e.Mem.Write(textBase, text); f != nil {
-		return nil, fmt.Errorf("loader: writing text: %w", f)
-	}
-	if len(data) > 0 {
-		if f := e.Mem.Write(dataBase, data); f != nil {
-			return nil, fmt.Errorf("loader: writing data: %w", f)
-		}
-	}
-
-	// Translate the branch-target list to in-enclave addresses and publish
-	// it in the read-only branch-table region (permissions are fixed after
-	// launch, so the region was mapped R and we write through a raw view).
+	// Translate the branch-target list to in-enclave addresses, staged as
+	// the content of the read-only branch-table region.
 	targets := make([]uint64, 0, len(o.BranchTargets))
-	var table []byte
+	table := make([]byte, 0, 8*len(o.BranchTargets))
 	for _, bt := range o.BranchTargets {
 		addr, ok := syms[bt.Symbol]
 		if !ok {
-			return nil, fmt.Errorf("loader: branch target %q undefined", bt.Symbol)
+			return nil, fmt.Errorf("%w: branch target %q undefined", ErrUnresolved, bt.Symbol)
 		}
 		if addr < textBase || addr >= textBase+uint64(len(text)) {
-			return nil, fmt.Errorf("loader: branch target %q outside text", bt.Symbol)
+			return nil, fmt.Errorf("%w: branch target %q outside text", ErrUnresolved, bt.Symbol)
 		}
 		targets = append(targets, addr)
-		var buf [8]byte
-		putU64(buf[:], addr)
-		table = append(table, buf[:]...)
-	}
-	if len(table) > 0 {
-		if err := e.Mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermRW); err != nil {
-			return nil, err
-		}
-		if f := e.Mem.Write(l.BrTableBase, table); f != nil {
-			return nil, fmt.Errorf("loader: writing branch table: %w", f)
-		}
-		if err := e.Mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermR); err != nil {
-			return nil, err
-		}
+		table = binary.LittleEndian.AppendUint64(table, addr)
 	}
 
 	entry, ok := syms[o.Entry]
 	if !ok {
-		return nil, fmt.Errorf("loader: entry symbol %q undefined", o.Entry)
+		return nil, fmt.Errorf("%w: entry symbol %q undefined", ErrUnresolved, o.Entry)
 	}
 
 	return &Loaded{
-		Enclave:       e,
+		Layout:        l,
 		Entry:         entry,
 		TextBase:      textBase,
 		TextEnd:       textBase + uint64(len(text)),
 		DataBase:      dataBase,
 		HeapFree:      heapFree,
+		Text:          text,
+		Data:          data,
+		Table:         table,
 		BranchTargets: targets,
 		Symbols:       syms,
 		Object:        o,
@@ -168,14 +161,3 @@ func Load(e *enclave.Enclave, o *obj.Object) (*Loaded, error) {
 }
 
 func align8(v uint64) uint64 { return (v + 7) &^ 7 }
-
-func putU64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}

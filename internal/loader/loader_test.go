@@ -1,6 +1,8 @@
 package loader_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"deflection/internal/compiler"
@@ -10,16 +12,36 @@ import (
 	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
+	"deflection/internal/runtime"
 	"deflection/internal/verifier"
 )
 
-func testEnclave(t *testing.T) *enclave.Enclave {
+func testLayout() enclave.Layout { return enclave.NewLayout(enclave.DefaultConfig()) }
+
+// install copies a relocated binary into a fresh bootstrap enclave through
+// runtime.InstallImage, the only path that writes a binary into enclave
+// memory.
+func install(t *testing.T, ld *loader.Loaded) *enclave.Enclave {
 	t.Helper()
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("loader-test"))
+	b, err := runtime.New(enclave.DefaultConfig(), runtime.Manifest{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return e
+	if _, err := b.InstallImage(&runtime.Image{
+		Entry:         ld.Entry,
+		TextBase:      ld.TextBase,
+		TextEnd:       ld.TextEnd,
+		DataBase:      ld.DataBase,
+		HeapFree:      ld.HeapFree,
+		Text:          ld.Text,
+		Data:          ld.Data,
+		BranchTable:   ld.Table,
+		BranchTargets: ld.BranchTargets,
+		Layout:        ld.Layout,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b.Enclave()
 }
 
 func buildObject(t *testing.T) *obj.Object {
@@ -56,42 +78,57 @@ func buildObject(t *testing.T) *obj.Object {
 }
 
 func TestLoadPlacesSections(t *testing.T) {
-	e := testEnclave(t)
+	l := testLayout()
 	o := buildObject(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Relocate(l, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ld.TextBase != e.Layout.CodeBase {
+	if ld.TextBase != l.CodeBase {
 		t.Errorf("text base %#x", ld.TextBase)
 	}
-	if ld.DataBase != e.Layout.HeapBase {
+	if ld.DataBase != l.HeapBase {
 		t.Errorf("data base %#x", ld.DataBase)
 	}
 	if ld.HeapFree <= ld.DataBase {
 		t.Error("heap free pointer not advanced")
 	}
+	if ld.Entry != ld.Symbols["_start"] {
+		t.Error("entry mismatch")
+	}
+	// The staged data segment spans [DataBase, HeapFree): .data, then
+	// zeroed .bss.
+	if got := uint64(len(ld.Data)); got != ld.HeapFree-ld.DataBase {
+		t.Fatalf("staged data %d bytes, want %d", got, ld.HeapFree-ld.DataBase)
+	}
+	if b := ld.Data[ld.Symbols["greet"]-ld.DataBase]; b != 'h' {
+		t.Errorf("staged data = %q, want greeting", b)
+	}
+	for i := ld.Symbols["scratch"] - ld.DataBase; i < uint64(len(ld.Data)); i++ {
+		if ld.Data[i] != 0 {
+			t.Fatalf("bss byte %d = %#x, want 0", i, ld.Data[i])
+		}
+	}
+
+	// Installed, the sections land at their relocated addresses.
+	e := install(t, ld)
 	b, f := e.Mem.Read8(ld.Symbols["greet"])
 	if f != nil || b != 'h' {
 		t.Errorf("data not copied: %c %v", b, f)
 	}
-	if ld.Entry != ld.Symbols["_start"] {
-		t.Error("entry mismatch")
+	text, f := e.Mem.Read(ld.TextBase, len(ld.Text))
+	if f != nil || string(text) != string(ld.Text) {
+		t.Errorf("text not copied: %v", f)
 	}
 }
 
 func TestLoadAppliesRelocations(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Relocate(testLayout(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, _, err := isa.Decode(text)
+	in, _, err := isa.Decode(ld.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,16 +138,20 @@ func TestLoadAppliesRelocations(t *testing.T) {
 }
 
 func TestLoadTranslatesBranchTargets(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
-	ld, err := loader.Load(e, o)
+	ld, err := loader.Relocate(testLayout(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ld.BranchTargets) != 1 || ld.BranchTargets[0] != ld.Symbols["fn"] {
 		t.Fatalf("branch targets = %v", ld.BranchTargets)
 	}
-	// The table is published in the read-only branch-table region.
+	if len(ld.Table) != 8 || binary.LittleEndian.Uint64(ld.Table) != ld.Symbols["fn"] {
+		t.Fatalf("staged table = %x", ld.Table)
+	}
+	// Installed, the table is published in the read-only branch-table
+	// region.
+	e := install(t, ld)
 	v, f := e.Mem.Read64(e.Layout.BrTableBase)
 	if f != nil || v != ld.Symbols["fn"] {
 		t.Errorf("table entry = %#x %v", v, f)
@@ -123,31 +164,25 @@ func TestLoadTranslatesBranchTargets(t *testing.T) {
 func TestLoadRejectsOversizedText(t *testing.T) {
 	cfg := enclave.DefaultConfig()
 	cfg.CodeCap = enclave.PageSize
-	e, err := enclave.New(cfg, []byte("small"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	o := buildObject(t)
 	o.Text = make([]byte, enclave.PageSize+1)
-	if _, err := loader.Load(e, o); err == nil {
+	if _, err := loader.Relocate(enclave.NewLayout(cfg), o); !errors.Is(err, loader.ErrTooLarge) {
 		t.Fatal("oversized text must fail")
 	}
 }
 
 func TestLoadRejectsOversizedBSS(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
 	o.BSSSize = 1 << 40
-	if _, err := loader.Load(e, o); err == nil {
+	if _, err := loader.Relocate(testLayout(), o); !errors.Is(err, loader.ErrTooLarge) {
 		t.Fatal("oversized bss must fail")
 	}
 }
 
 func TestLoadRejectsBranchTargetOutsideText(t *testing.T) {
-	e := testEnclave(t)
 	o := buildObject(t)
 	o.BranchTargets = append(o.BranchTargets, obj.BranchTarget{Symbol: "greet"})
-	if _, err := loader.Load(e, o); err == nil {
+	if _, err := loader.Relocate(testLayout(), o); !errors.Is(err, loader.ErrUnresolved) {
 		t.Fatal("data-section branch target must fail")
 	}
 }
@@ -163,12 +198,8 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := testEnclave(t)
-	ld, err := loader.Load(e, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := ld.TextBytes()
+	l := testLayout()
+	ld, err := loader.Relocate(l, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +207,7 @@ int main() {
 	for _, bt := range ld.BranchTargets {
 		offs = append(offs, int64(bt-ld.TextBase))
 	}
-	vr, err := verifier.Verify(text, verifier.Options{
+	vr, err := verifier.Verify(ld.Text, verifier.Options{
 		Required:            policy.SetP1P6,
 		EntryOffset:         int64(ld.Entry - ld.TextBase),
 		BranchTargetOffsets: offs,
@@ -193,11 +224,7 @@ int main() {
 	}
 
 	// No magic placeholder may survive in the rewritten text.
-	after, err := ld.TextBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts, err := disasm.Linear(after)
+	insts, err := disasm.Linear(ld.Text)
 	if err != nil {
 		// Linear decode can fail on data-like padding; fall back to the
 		// verified instruction set.
@@ -220,7 +247,7 @@ int main() {
 	// The rewritten bounds must equal the layout's store window.
 	found := false
 	for _, in := range insts {
-		if in.Op == isa.OpMovRI && uint64(in.Imm) == e.Layout.StoreLo() {
+		if in.Op == isa.OpMovRI && uint64(in.Imm) == l.StoreLo() {
 			found = true
 		}
 	}

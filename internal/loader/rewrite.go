@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -21,7 +22,7 @@ type RewriteStats struct {
 // verifier has approved the binary, every annotation placeholder — the
 // store and stack bound immediates of Fig. 5 and the P6 SSA slot
 // displacements — is resolved to the real enclave addresses, in place, in
-// the relocated code.
+// the staged relocated text.
 //
 // The rewriter works from the verifier's disassembly so it patches exactly
 // the decoded instruction stream; placeholder values are globally unique
@@ -29,7 +30,7 @@ type RewriteStats struct {
 func RewriteImmediates(ld *Loaded, dis *disasm.Result) (stats RewriteStats, err error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
-	l := ld.Enclave.Layout
+	l := ld.Layout
 
 	imm64Map := map[int64]uint64{
 		policy.MagicStoreLo: l.StoreLo(),
@@ -41,15 +42,22 @@ func RewriteImmediates(ld *Loaded, dis *disasm.Result) (stats RewriteStats, err 
 		policy.MagicSSAMarkerDisp: l.SSAMarkerAddr(),
 		policy.MagicAEXCountDisp:  l.AEXCountAddr(),
 	}
+	// patch bounds-checks every write against the staged text.
+	var buf [8]byte
+	patch := func(at int64, b []byte) error {
+		if at < 0 || at+int64(len(b)) > int64(len(ld.Text)) {
+			return fmt.Errorf("loader: rewrite site %#x outside text", at)
+		}
+		copy(ld.Text[at:], b)
+		return nil
+	}
 
 	for _, off := range dis.Offsets {
 		in := dis.Insts[off]
 		if immOff := isa.ImmOffset(&in.Inst); immOff >= 0 {
 			if v, hit := imm64Map[in.Imm]; hit {
-				var buf [8]byte
-				putU64(buf[:], v)
-				if f := ld.Enclave.Mem.Write(ld.TextBase+uint64(off)+uint64(immOff), buf[:]); f != nil {
-					return stats, fmt.Errorf("loader: rewriting imm at %#x: %w", off, f)
+				if err := patch(off+int64(immOff), binary.LittleEndian.AppendUint64(buf[:0], v)); err != nil {
+					return stats, err
 				}
 				switch in.Imm {
 				case policy.MagicStoreLo, policy.MagicStoreHi:
@@ -64,13 +72,8 @@ func RewriteImmediates(ld *Loaded, dis *disasm.Result) (stats RewriteStats, err 
 				if v > 0x7FFFFFFF {
 					return stats, fmt.Errorf("loader: SSA slot %#x does not fit disp32", v)
 				}
-				var buf [4]byte
-				buf[0] = byte(v)
-				buf[1] = byte(v >> 8)
-				buf[2] = byte(v >> 16)
-				buf[3] = byte(v >> 24)
-				if f := ld.Enclave.Mem.Write(ld.TextBase+uint64(off)+uint64(dispOff), buf[:]); f != nil {
-					return stats, fmt.Errorf("loader: rewriting disp at %#x: %w", off, f)
+				if err := patch(off+int64(dispOff), binary.LittleEndian.AppendUint32(buf[:0], uint32(v))); err != nil {
+					return stats, err
 				}
 				stats.SSASites++
 			}

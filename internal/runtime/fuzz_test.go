@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,10 +9,59 @@ import (
 	"deflection/internal/cpu"
 	"deflection/internal/dclib"
 	"deflection/internal/enclave"
+	"deflection/internal/loader"
 	"deflection/internal/obj"
 	"deflection/internal/policy"
 	"deflection/internal/runtime"
+	"deflection/internal/verifier"
 )
+
+// declaredErrors are the error classes VerifyImage may reject an input
+// with: a malformed object, a policy mask short of the manifest, a binary
+// that does not fit or link in the layout, or a verifier violation.
+var declaredErrors = []error{
+	obj.ErrBadObject, runtime.ErrPolicyMismatch, loader.ErrTooLarge, loader.ErrUnresolved, verifier.ErrViolation,
+}
+
+// FuzzVerifyImage feeds arbitrary object bytes — seeded with every
+// application and nBench kernel under P1-P8, plain and with a protocol —
+// to VerifyImage. It must never panic, must reject only with a declared
+// error class (and still return its stage trace), and must build the same
+// image when an accepted input is verified again. Run with
+// go test -fuzz=FuzzVerifyImage ./internal/runtime/ (see make fuzz-verify).
+func FuzzVerifyImage(f *testing.F) {
+	for _, c := range goldenCorpus(f) {
+		if c.pols == policy.SetP1P8 {
+			f.Add(c.obj)
+		}
+	}
+	m := runtime.DefaultManifest()
+	m.Policies = policy.SetP1P8
+	l := enclave.NewLayout(enclave.DefaultConfig())
+	f.Fuzz(func(t *testing.T, objBytes []byte) {
+		img, rep, tr, err := runtime.VerifyImage(objBytes, m, l)
+		if tr == nil {
+			t.Fatal("no stage trace")
+		}
+		if err != nil {
+			declared := false
+			for _, class := range declaredErrors {
+				declared = declared || errors.Is(err, class)
+			}
+			if !declared || img != nil || rep != nil {
+				t.Fatalf("rejection %v (image %v, report %v) outside the declared classes", err, img != nil, rep != nil)
+			}
+			return
+		}
+		again, _, _, err := runtime.VerifyImage(objBytes, m, l)
+		if err != nil {
+			t.Fatalf("accepted, then rejected on the same bytes: %v", err)
+		}
+		if imageDigest(img) != imageDigest(again) {
+			t.Fatal("accepted input built two different images")
+		}
+	})
+}
 
 // TestMutatedBinariesNeverLeak is the repository's core security property
 // as a mutation-fuzz test: take a correctly instrumented binary, flip bytes

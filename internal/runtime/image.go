@@ -10,8 +10,8 @@ import (
 	"deflection/internal/verifier"
 )
 
-// Image is the portable product of a successful load+verify+rewrite cycle:
-// the relocated, annotation-rewritten text, the initialised data segment,
+// Image is the portable product of a successful VerifyImage run: the
+// relocated, annotation-rewritten text, the initialised data segment,
 // the translated branch-target table, and the metadata Run needs. An Image
 // is bound to one enclave Layout (every address baked into the text is
 // absolute), and once built it is immutable — the verification plane shares
@@ -69,82 +69,52 @@ func (img *Image) SizeBytes() int64 {
 		int64(len(img.Audit))*96
 }
 
-// ErrNoLoadedImage is returned by SnapshotImage before a successful load.
-var ErrNoLoadedImage = errors.New("runtime: no verified binary to snapshot")
+// ErrNoLoadedImage is returned by InstallImage when given no image.
+var ErrNoLoadedImage = errors.New("runtime: no verified image to install")
 
 // ErrLayoutMismatch is returned by InstallImage when the image was built
 // for a different enclave layout.
 var ErrLayoutMismatch = errors.New("runtime: image layout does not match enclave")
 
-// SnapshotImage captures the loaded, verified, rewritten binary as an
-// immutable Image. rep must be the LoadReport of this Bootstrap's most
-// recent successful ReceiveBinary; the snapshot must be taken before the
-// service runs (so .bss and the heap are still in their initial state).
-func (b *Bootstrap) SnapshotImage(rep *LoadReport) (*Image, error) {
-	if b.loaded == nil || b.verify == nil || rep == nil {
-		return nil, ErrNoLoadedImage
-	}
-	ld := b.loaded
-	text, f := b.encl.Mem.Read(ld.TextBase, int(ld.TextEnd-ld.TextBase))
-	if f != nil {
-		return nil, fmt.Errorf("runtime: snapshot text: %w", f)
-	}
-	var data []byte
-	if ld.HeapFree > ld.DataBase {
-		data, f = b.encl.Mem.Read(ld.DataBase, int(ld.HeapFree-ld.DataBase))
-		if f != nil {
-			return nil, fmt.Errorf("runtime: snapshot data: %w", f)
-		}
-	}
-	var table []byte
-	if n := len(ld.BranchTargets); n > 0 {
-		table, f = b.encl.Mem.Read(b.encl.Layout.BrTableBase, n*8)
-		if f != nil {
-			return nil, fmt.Errorf("runtime: snapshot branch table: %w", f)
-		}
-	}
-	return &Image{
-		BinaryHash:    rep.BinaryHash,
-		Entry:         ld.Entry,
-		TextBase:      ld.TextBase,
-		TextEnd:       ld.TextEnd,
-		DataBase:      ld.DataBase,
-		HeapFree:      ld.HeapFree,
-		Text:          text,
-		Data:          data,
-		BranchTable:   table,
-		BranchTargets: append([]uint64(nil), ld.BranchTargets...),
-		AnnotRanges:   append([]verifier.Range(nil), b.verify.AnnotRanges...),
-		Stats:         rep.Stats,
-		Rewrites:      rep.Rewrites,
-		Audit:         append([]verifier.PolicyAudit(nil), rep.Audit...),
-		Layout:        b.encl.Layout,
-	}, nil
-}
-
-// InstallImage loads a previously verified Image into this bootstrap's
-// enclave, skipping parse, disassembly, verification and rewriting entirely
-// — the cache-hit fast path of the verification plane. The image bytes are
-// copied into the enclave's private memory (never aliased), so concurrent
-// sessions installed from the same Image cannot observe each other's
-// writable state. The enclave's layout must match the one the image was
-// built for.
+// InstallImage loads a previously verified Image (see VerifyImage) into
+// this bootstrap's enclave, skipping parse, disassembly, verification and
+// rewriting entirely — the cache-hit fast path of the verification plane.
+// The image bytes are copied into the enclave's private memory (never
+// aliased), so concurrent sessions installed from the same Image cannot
+// observe each other's writable state. The enclave's layout must match the
+// one the image was built for.
 func (b *Bootstrap) InstallImage(img *Image) (*LoadReport, error) {
 	if img == nil {
 		return nil, ErrNoLoadedImage
 	}
 	tr := obs.NewTraceWithClock("install_image", b.traceClock)
 	b.setLastTrace(tr)
+	if err := b.install(img, tr); err != nil {
+		return nil, err
+	}
+	return &LoadReport{
+		BinaryHash: img.BinaryHash,
+		Stats:      img.Stats,
+		Rewrites:   img.Rewrites, // durations are the original cold run's
+		TextSize:   len(img.Text),
+		Trace:      tr,
+		Audit:      append([]verifier.PolicyAudit(nil), img.Audit...),
+	}, nil
+}
 
+// install copies img into the enclave, recording its stages in tr, and
+// makes it the binary Run executes. It is the only code that writes a
+// verified binary into enclave memory.
+func (b *Bootstrap) install(img *Image, tr *obs.Trace) error {
 	if b.encl.Layout != img.Layout {
 		tr.Add("install_text", 0, "error", ErrLayoutMismatch.Error())
-		return nil, fmt.Errorf("%w: image built for a different address map", ErrLayoutMismatch)
+		return fmt.Errorf("%w: image built for a different address map", ErrLayoutMismatch)
 	}
 
 	tm := tr.Start("install_text")
 	if f := b.encl.Mem.Write(img.TextBase, img.Text); f != nil {
 		tm.End("error", f.Error())
-		return nil, fmt.Errorf("runtime: installing text: %w", f)
+		return fmt.Errorf("runtime: installing text: %w", f)
 	}
 	tm.End("text_bytes", len(img.Text))
 
@@ -152,42 +122,45 @@ func (b *Bootstrap) InstallImage(img *Image) (*LoadReport, error) {
 	if len(img.Data) > 0 {
 		if f := b.encl.Mem.Write(img.DataBase, img.Data); f != nil {
 			tm.End("error", f.Error())
-			return nil, fmt.Errorf("runtime: installing data: %w", f)
+			return fmt.Errorf("runtime: installing data: %w", f)
 		}
 	}
 	tm.End("data_bytes", len(img.Data))
 
+	// The branch-table region is mapped read-only at launch; open it just
+	// long enough to publish the table.
 	tm = tr.Start("install_table")
 	if len(img.BranchTable) > 0 {
 		l := b.encl.Layout
 		if err := b.encl.Mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermRW); err != nil {
 			tm.End("error", err.Error())
-			return nil, err
+			return err
 		}
 		if f := b.encl.Mem.Write(l.BrTableBase, img.BranchTable); f != nil {
 			tm.End("error", f.Error())
-			return nil, fmt.Errorf("runtime: installing branch table: %w", f)
+			return fmt.Errorf("runtime: installing branch table: %w", f)
 		}
 		if err := b.encl.Mem.SetPerm(l.BrTableBase, l.BrTableEnd, enclave.PermR); err != nil {
 			tm.End("error", err.Error())
-			return nil, err
+			return err
 		}
 	}
 	tm.End("branch_targets", len(img.BranchTargets))
 
 	if b.encl.Layout.SGXv2 {
-		// The image was verified before it was snapshotted; seal the code
-		// pages RX exactly as the cold path does after rewriting.
+		// EDMM: the image was verified and rewritten before it was
+		// installed, so drop write permission from the code pages —
+		// hardware DEP instead of relying on P4's software check alone.
 		tm = tr.Start("edmm_seal")
 		if err := b.encl.Mem.SetPerm(b.encl.Layout.CodeBase, b.encl.Layout.CodeEnd, enclave.PermRX); err != nil {
 			tm.End("error", err.Error())
-			return nil, err
+			return err
 		}
 		tm.End()
 	}
 
 	b.loaded = &loader.Loaded{
-		Enclave:       b.encl,
+		Layout:        img.Layout,
 		Entry:         img.Entry,
 		TextBase:      img.TextBase,
 		TextEnd:       img.TextEnd,
@@ -199,12 +172,5 @@ func (b *Bootstrap) InstallImage(img *Image) (*LoadReport, error) {
 		Stats:       img.Stats,
 		AnnotRanges: append([]verifier.Range(nil), img.AnnotRanges...),
 	}
-	return &LoadReport{
-		BinaryHash: img.BinaryHash,
-		Stats:      img.Stats,
-		Rewrites:   img.Rewrites, // durations are the original cold run's
-		TextSize:   len(img.Text),
-		Trace:      tr,
-		Audit:      append([]verifier.PolicyAudit(nil), img.Audit...),
-	}, nil
+	return nil
 }

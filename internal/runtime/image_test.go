@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"deflection/internal/compiler"
 	"deflection/internal/cpu"
 	"deflection/internal/enclave"
 	"deflection/internal/policy"
@@ -20,27 +21,33 @@ int bump() { counter = counter + 1; return counter; }
 int main() { fnptr f = bump; return f(); }
 `
 
-// buildImage verifies imageSrc cold in a fresh bootstrap and snapshots it.
-func buildImage(t *testing.T, pols policy.Set) (*runtime.Image, *runtime.LoadReport) {
+// buildImage compiles imageSrc under pols and verifies it for the default
+// layout without an enclave.
+func buildImage(t *testing.T, pols policy.Set) ([]byte, *runtime.Image) {
 	t.Helper()
-	b := newBootstrap(t, pols)
-	rep := compileAndLoad(t, b, imageSrc, pols)
-	img, err := b.SnapshotImage(rep)
+	o, err := compiler.Compile(imageSrc, compiler.Options{Policies: pols})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return img, rep
+	objBytes := o.Marshal()
+	m := runtime.DefaultManifest()
+	m.Policies = pols
+	img, _, _, err := runtime.VerifyImage(objBytes, m, enclave.NewLayout(enclave.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return objBytes, img
 }
 
-// TestInstallImageEquivalence: a session installed from a snapshot must be
-// observationally identical to the cold pipeline — same verdict evidence,
-// same execution.
+// TestInstallImageEquivalence: a session installed from a verified image
+// must be observationally identical to the cold pipeline — same verdict
+// evidence, same execution.
 func TestInstallImageEquivalence(t *testing.T) {
 	pols := policy.SetP1P6
 
+	objBytes, img := buildImage(t, pols)
 	cold := newBootstrap(t, pols)
-	coldRep := compileAndLoad(t, cold, imageSrc, pols)
-	img, err := cold.SnapshotImage(coldRep)
+	coldRep, err := cold.ReceiveBinary(objBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +92,7 @@ func TestInstallImageEquivalence(t *testing.T) {
 
 func TestInstallImageLayoutMismatch(t *testing.T) {
 	pols := policy.SetP1P2
-	img, _ := buildImage(t, pols)
+	_, img := buildImage(t, pols)
 
 	cfg := enclave.DefaultConfig()
 	cfg.HeapCap *= 2
@@ -100,13 +107,13 @@ func TestInstallImageLayoutMismatch(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndInstallRequireLoadedState(t *testing.T) {
+func TestInstallImageRequiresImage(t *testing.T) {
 	b := newBootstrap(t, policy.SetP1)
-	if _, err := b.SnapshotImage(nil); !errors.Is(err, runtime.ErrNoLoadedImage) {
-		t.Errorf("snapshot before load: err = %v, want ErrNoLoadedImage", err)
-	}
 	if _, err := b.InstallImage(nil); !errors.Is(err, runtime.ErrNoLoadedImage) {
 		t.Errorf("install of nil image: err = %v, want ErrNoLoadedImage", err)
+	}
+	if _, err := b.Run(runtime.RunConfig{}); !errors.Is(err, runtime.ErrNotLoaded) {
+		t.Errorf("run after failed install: err = %v, want ErrNotLoaded", err)
 	}
 }
 
@@ -117,7 +124,7 @@ func TestSnapshotAndInstallRequireLoadedState(t *testing.T) {
 // none of it.
 func TestImageIsolationBetweenSessions(t *testing.T) {
 	pols := policy.SetP1P6
-	img, _ := buildImage(t, pols)
+	_, img := buildImage(t, pols)
 	l := img.Layout
 
 	victim := newBootstrap(t, pols)

@@ -71,11 +71,14 @@ func DefaultManifest() Manifest {
 // identical verification of any given binary. Zero-value defaults are
 // normalised first (New applies the same normalisation before measuring),
 // so a manifest compares equal to its launched form.
-func (m Manifest) Fingerprint() []byte {
+func (m Manifest) Fingerprint() []byte { return m.withDefaults().identity() }
+
+// withDefaults fills the zero-value defaults New launches with.
+func (m Manifest) withDefaults() Manifest {
 	if m.OutputPadBlock == 0 {
 		m.OutputPadBlock = defaultOutputPadBlock
 	}
-	return m.identity()
+	return m
 }
 
 // identity serialises the manifest into the measured identity.
@@ -141,8 +144,8 @@ type Bootstrap struct {
 	traceClock func() time.Time
 
 	// traceMu guards lastTrace: loads run one at a time per Bootstrap, but
-	// the verification plane's worker pool inspects traces from other
-	// goroutines, so the handoff must be race-clean.
+	// LastTrace may be called from other goroutines, so the handoff must be
+	// race-clean.
 	traceMu   sync.Mutex
 	lastTrace *obs.Trace
 }
@@ -180,9 +183,7 @@ const defaultOutputPadBlock = 256
 // New launches a bootstrap enclave with the given memory configuration and
 // manifest.
 func New(cfg enclave.Config, m Manifest) (*Bootstrap, error) {
-	if m.OutputPadBlock == 0 {
-		m.OutputPadBlock = defaultOutputPadBlock
-	}
+	m = m.withDefaults()
 	e, err := enclave.New(cfg, m.identity())
 	if err != nil {
 		return nil, err
@@ -219,18 +220,44 @@ func (b *Bootstrap) SetSessionKey(key []byte) error {
 	}
 }
 
-// ReceiveBinary is the ecall_receive_binary analogue: parse, load, verify
-// and rewrite the target binary. The code provider never exposes source;
-// only this object and its proof cross the boundary.
+// ReceiveBinary is the ecall_receive_binary analogue: verify the target
+// binary for this enclave's layout (VerifyImage) and install the resulting
+// image into its memory. The code provider never exposes source; only this
+// object and its proof cross the boundary.
 func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
-	tr := obs.NewTraceWithClock("receive_binary", b.traceClock)
+	img, rep, tr, err := verifyImage(objBytes, b.manifest, b.encl.Layout, b.traceClock)
 	b.setLastTrace(tr) // kept even on rejection, so failures can be examined
+	if err != nil {
+		return nil, err
+	}
+	if err := b.install(img, tr); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// VerifyImage runs the bootstrap's verification pipeline — parse, P0
+// interface audit, relocation for layout l, disassembly, P1-P8
+// verification, immediate rewriting — as a pure function of its inputs:
+// no enclave is created and no enclave memory is written. On acceptance it
+// returns the installable Image and the LoadReport; the receive_binary
+// stage trace is returned in every case, rejections included. The manifest
+// is normalised as New normalises it.
+func VerifyImage(objBytes []byte, m Manifest, l enclave.Layout) (*Image, *LoadReport, *obs.Trace, error) {
+	return verifyImage(objBytes, m, l, nil)
+}
+
+// verifyImage is VerifyImage with the trace clock of the calling bootstrap
+// (nil = wall clock).
+func verifyImage(objBytes []byte, m Manifest, l enclave.Layout, clock func() time.Time) (*Image, *LoadReport, *obs.Trace, error) {
+	m = m.withDefaults()
+	tr := obs.NewTraceWithClock("receive_binary", clock)
 
 	tm := tr.Start("parse")
 	o, err := obj.Unmarshal(objBytes)
 	if err != nil {
 		tm.End("error", err.Error())
-		return nil, err
+		return nil, nil, tr, err
 	}
 	tm.End("obj_bytes", len(objBytes), "policy_mask", policy.Set(o.PolicyMask).String())
 
@@ -239,43 +266,38 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	// is produced here, not by the verifier.
 	p0Start := time.Now()
 	tm = tr.Start("policy/P0")
-	instrumented := b.manifest.Policies &^ policy.Bit(policy.P0) // P0 is enclave config, not code
+	instrumented := m.Policies &^ policy.Bit(policy.P0) // P0 is enclave config, not code
 	maskOK := policy.Set(o.PolicyMask)&instrumented == instrumented
 	p0 := verifier.PolicyAudit{
 		Policy:   policy.P0,
-		Required: b.manifest.Policies.Has(policy.P0),
+		Required: m.Policies.Has(policy.P0),
 		Passed:   maskOK,
-		Checks:   1 + len(b.manifest.AllowedOcalls),
+		Checks:   1 + len(m.AllowedOcalls),
 		Detail: fmt.Sprintf("interface restricted to %d whitelisted ocalls, outputs padded to %d-byte blocks, entropy budget %d bits",
-			len(b.manifest.AllowedOcalls), b.manifest.OutputPadBlock, b.manifest.OutputBudgetBits),
+			len(m.AllowedOcalls), m.OutputPadBlock, m.OutputBudgetBits),
 	}
 	p0.Duration = time.Since(p0Start)
-	tm.End("ocalls", len(b.manifest.AllowedOcalls), "passed", maskOK)
+	tm.End("ocalls", len(m.AllowedOcalls), "passed", maskOK)
 	if !maskOK {
-		return nil, fmt.Errorf("%w: binary claims %s, manifest requires %s",
+		return nil, nil, tr, fmt.Errorf("%w: binary claims %s, manifest requires %s",
 			ErrPolicyMismatch, policy.Set(o.PolicyMask), instrumented)
 	}
 
 	tm = tr.Start("load")
-	ld, err := loader.Load(b.encl, o)
+	ld, err := loader.Relocate(l, o)
 	if err != nil {
 		tm.End("error", err.Error())
-		return nil, err
+		return nil, nil, tr, err
 	}
-	text, err := ld.TextBytes()
-	if err != nil {
-		tm.End("error", err.Error())
-		return nil, err
-	}
-	tm.End("text_bytes", len(text), "branch_targets", len(ld.BranchTargets))
+	tm.End("text_bytes", len(ld.Text), "branch_targets", len(ld.BranchTargets))
 
 	offsets := make([]int64, 0, len(ld.BranchTargets))
 	for _, t := range ld.BranchTargets {
 		offsets = append(offsets, int64(t-ld.TextBase))
 	}
-	vr, err := verifier.Verify(text, verifier.Options{
+	vr, err := verifier.Verify(ld.Text, verifier.Options{
 		Required:            instrumented,
-		AEXCheckMaxGap:      b.manifest.AEXCheckMaxGap,
+		AEXCheckMaxGap:      m.AEXCheckMaxGap,
 		EntryOffset:         int64(ld.Entry - ld.TextBase),
 		BranchTargetOffsets: offsets,
 		Taint:               TaintConfig(ld),
@@ -283,7 +305,7 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	})
 	if err != nil {
 		tr.Add("verify", 0, "error", err.Error())
-		return nil, err
+		return nil, nil, tr, err
 	}
 	// The verifier self-times its phases (the TCB stays free of obs);
 	// convert its measurements into trace spans here.
@@ -306,31 +328,37 @@ func (b *Bootstrap) ReceiveBinary(objBytes []byte) (*LoadReport, error) {
 	rw, err := loader.RewriteImmediates(ld, vr.Dis)
 	if err != nil {
 		tr.Add("rewrite", rw.Duration, "error", err.Error())
-		return nil, err
+		return nil, nil, tr, err
 	}
 	tr.Add("rewrite", rw.Duration,
 		"store_bounds", rw.StoreBounds, "stack_bounds", rw.StackBounds, "ssa_sites", rw.SSASites)
-	if b.encl.Layout.SGXv2 {
-		// EDMM: with verification and rewriting complete, drop write
-		// permission from the code pages — hardware DEP instead of relying
-		// on P4's software check alone.
-		tm = tr.Start("edmm_seal")
-		if err := b.encl.Mem.SetPerm(b.encl.Layout.CodeBase, b.encl.Layout.CodeEnd, enclave.PermRX); err != nil {
-			tm.End("error", err.Error())
-			return nil, err
-		}
-		tm.End()
-	}
-	b.loaded = ld
-	b.verify = vr
-	return &LoadReport{
+
+	rep := &LoadReport{
 		BinaryHash: sha256.Sum256(objBytes),
 		Stats:      vr.Stats,
 		Rewrites:   rw,
-		TextSize:   len(text),
+		TextSize:   len(ld.Text),
 		Trace:      tr,
 		Audit:      append([]verifier.PolicyAudit{p0}, vr.Audit...),
-	}, nil
+	}
+	img := &Image{
+		BinaryHash:    rep.BinaryHash,
+		Entry:         ld.Entry,
+		TextBase:      ld.TextBase,
+		TextEnd:       ld.TextEnd,
+		DataBase:      ld.DataBase,
+		HeapFree:      ld.HeapFree,
+		Text:          ld.Text,
+		Data:          ld.Data,
+		BranchTable:   ld.Table,
+		BranchTargets: ld.BranchTargets,
+		AnnotRanges:   vr.AnnotRanges,
+		Stats:         vr.Stats,
+		Rewrites:      rw,
+		Audit:         rep.Audit,
+		Layout:        l,
+	}
+	return img, rep, tr, nil
 }
 
 // ReceiveData is the ecall_receive_userdata analogue: queue an input buffer
@@ -369,7 +397,7 @@ type RunConfig struct {
 // its stack subrange. Exposed for benchmarks and tools that call the
 // verifier directly on a loaded image.
 func TaintConfig(ld *loader.Loaded) taint.Config {
-	l := ld.Enclave.Layout
+	l := ld.Layout
 	cfg := taint.Config{
 		DataLo:  l.StoreLo(),
 		DataHi:  l.StoreHi(),

@@ -251,39 +251,35 @@ func (p *Plane) runFlight(f *flight, tid obs.TraceID, key Key, objBytes []byte, 
 	finish(v, verr, SourceCold)
 }
 
-// runVerify executes the full parse→load→disasm→verify→rewrite pipeline in
-// a scratch bootstrap enclave and converts the outcome into a cacheable
-// verdict. Deterministic rejections (structured verifier violations and
+// runVerify executes the parse→load→disasm→verify→rewrite pipeline
+// (runtime.VerifyImage, which stages the binary in memory of its own and
+// creates no enclave) and converts the outcome into a cacheable verdict.
+// Deterministic rejections (structured verifier violations and
 // policy-mask mismatches) become negative verdicts; anything else (corrupt
-// objects, undersized enclaves mid-reconfiguration) is reported as an error
-// and left uncached.
+// objects, layouts no enclave has, binaries that do not fit the layout) is
+// reported as an error and left uncached.
 func (p *Plane) runVerify(tid obs.TraceID, key Key, objBytes []byte, m runtime.Manifest, l enclave.Layout) (*Verdict, error) {
 	if hook := p.verifyHook; hook != nil {
 		hook()
 	}
-	start := time.Now()
-	boot, err := runtime.New(configFromLayout(l), m)
-	if err != nil {
-		return nil, err
+	if enclave.NewLayout(configFromLayout(l)) != l {
+		return nil, ErrLayout
 	}
-	rep, err := boot.ReceiveBinary(objBytes)
+	start := time.Now()
+	img, rep, tr, err := runtime.VerifyImage(objBytes, m, l)
 	p.m.Histogram("vplane_verify_cold_seconds").ObserveDuration(time.Since(start))
 	p.m.Counter("vplane_verify_runs_total").Inc()
-	// Export the scratch enclave's stage trace (parse → disasm → policy →
-	// cfa → rewrite) under the single-flight leader's trace ID, so the
-	// verifier's internal timeline shows up in /traces correlated with the
-	// session that triggered the cold run.
-	p.cfg.Spans.AddTrace(tid, boot.LastTrace())
+	// Export the stage trace (parse → disasm → policy → cfa → rewrite)
+	// under the single-flight leader's trace ID, so the verifier's internal
+	// timeline shows up in /traces correlated with the session that
+	// triggered the cold run.
+	p.cfg.Spans.AddTrace(tid, tr)
 	if err != nil {
 		if errors.Is(err, verifier.ErrViolation) || errors.Is(err, runtime.ErrPolicyMismatch) {
 			p.m.Counter("vplane_negative_verdicts_total").Inc()
 			p.log("vplane_negative_verdict", "key", keyPrefix(key), "err", err)
 			return &Verdict{Key: key, Reject: err}, nil
 		}
-		return nil, err
-	}
-	img, err := boot.SnapshotImage(rep)
-	if err != nil {
 		return nil, err
 	}
 	p.log("vplane_cold_verify", "key", keyPrefix(key),
@@ -308,9 +304,10 @@ func (p *Plane) Load(ctx context.Context, boot *runtime.Bootstrap, objBytes []by
 }
 
 // configFromLayout reconstructs the enclave sizing that produces exactly
-// this layout (enclave.New is deterministic and all caps in a resolved
-// layout are already page-rounded), so a scratch verification enclave is
-// guaranteed address-compatible with every session enclave of the key.
+// this layout when l is one enclave.New can produce (the layout is
+// deterministic and all caps in a resolved layout are already
+// page-rounded). runVerify checks the round trip, so every image it builds
+// is address-compatible with the session enclaves of its key.
 func configFromLayout(l enclave.Layout) enclave.Config {
 	return enclave.Config{
 		CodeCap:      l.CodeEnd - l.CodeBase,

@@ -3,6 +3,7 @@ package vplane_test
 import (
 	"context"
 	"errors"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -34,11 +35,7 @@ func manifestFor(pols policy.Set) runtime.Manifest {
 
 func defaultLayout(t *testing.T) enclave.Layout {
 	t.Helper()
-	e, err := enclave.New(enclave.DefaultConfig(), []byte("vplane-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e.Layout
+	return enclave.NewLayout(enclave.DefaultConfig())
 }
 
 func waitCounter(t *testing.T, reg *obs.Registry, name string, want int64) {
@@ -364,7 +361,7 @@ func TestOverloadSheds(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for _, gap := range []int{10, 20} {
+	for i, gap := range []int{10, 20} {
 		wg.Add(1)
 		go func(gap int) {
 			defer wg.Done()
@@ -372,8 +369,12 @@ func TestOverloadSheds(t *testing.T) {
 				t.Errorf("Verify(gap=%d): %v", gap, err)
 			}
 		}(gap)
+		if i == 0 {
+			// The first job must occupy the only worker before the second
+			// is submitted, or both can race for the one queue slot.
+			<-entered
+		}
 	}
-	<-entered // first job occupies the only worker
 	deadline := time.Now().Add(10 * time.Second)
 	for reg.Gauge("vplane_queue_depth").Value() != 1 {
 		if time.Now().After(deadline) {
@@ -490,4 +491,63 @@ func TestCacheInvalidationForcesReverify(t *testing.T) {
 	if got := reg.Counter("vplane_verify_runs_total").Value(); got != 2 {
 		t.Fatalf("runs = %d, want 2", got)
 	}
+}
+
+// TestVerifyRejectsForeignLayout: a layout enclave.New cannot produce has
+// no session enclave to install an image into, so Verify reports an error
+// without running the pipeline and caches nothing.
+func TestVerifyRejectsForeignLayout(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := vplane.New(vplane.Config{CacheBytes: 1 << 20, Workers: 1, Metrics: reg})
+	defer p.Close()
+	obj := compileObj(t, "int main() { return 0; }", policy.SetP1)
+	l := defaultLayout(t)
+	l.CodeBase += enclave.PageSize
+
+	for i := 0; i < 2; i++ {
+		v, _, err := p.Verify(context.Background(), obj, manifestFor(policy.SetP1), l)
+		if !errors.Is(err, vplane.ErrLayout) || v != nil {
+			t.Fatalf("attempt %d: verdict %+v, err = %v, want ErrLayout", i, v, err)
+		}
+	}
+	if n := p.Cache().Len(); n != 0 {
+		t.Errorf("cache holds %d verdicts, want none", n)
+	}
+	if n := reg.Counter("vplane_verify_runs_total").Value(); n != 0 {
+		t.Errorf("pipeline ran %d times for a foreign layout", n)
+	}
+}
+
+// TestColdVerifyAllocatesNoEnclave guards the enclave-free cold path: a
+// cold Verify of a small program must allocate less than launching one
+// enclave does.
+func TestColdVerifyAllocatesNoEnclave(t *testing.T) {
+	m := manifestFor(policy.SetP1P6)
+	obj := compileObj(t, "int main() { return 42; }", policy.SetP1P6)
+	l := defaultLayout(t)
+	p := vplane.New(vplane.Config{CacheBytes: 1 << 20, Workers: 1})
+	defer p.Close()
+
+	allocated := func(f func()) uint64 {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		f()
+		goruntime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	launch := allocated(func() {
+		if _, err := runtime.New(enclave.DefaultConfig(), m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	verify := allocated(func() {
+		v, src, err := p.Verify(context.Background(), obj, m, l)
+		if err != nil || src != vplane.SourceCold || v.Image == nil {
+			t.Fatalf("cold verify: verdict %+v, source %v, err %v", v, src, err)
+		}
+	})
+	if verify >= launch {
+		t.Errorf("cold verify allocated %d bytes, launching an enclave %d: the cold path creates an enclave again", verify, launch)
+	}
+	t.Logf("cold verify %d bytes, enclave launch %d bytes", verify, launch)
 }

@@ -157,3 +157,7 @@ var ErrOverloaded = errors.New("vplane: verification queue full")
 
 // ErrClosed is returned by submissions to a closed plane or pool.
 var ErrClosed = errors.New("vplane: closed")
+
+// ErrLayout is returned by Verify for a layout that enclave.New cannot
+// produce: no session enclave could install an image built for it.
+var ErrLayout = errors.New("vplane: layout is not an enclave layout")
