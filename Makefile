@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order fuzz-verify test race race-vplane race-gateway race-tenant race-taint race-order chaos bench metrics-smoke
+.PHONY: check build fmt vet lint metric-lint fuzz-disasm fuzz-taint fuzz-order fuzz-verify fuzz-memory test race race-vplane race-gateway race-tenant race-taint race-order chaos bench metrics-smoke
 
 # Tier-1 gate: what CI must keep green. race is the full -race sweep and
 # subsumes race-vplane/race-gateway/race-tenant/race-taint/race-order; the focused
 # targets exist for fast iteration.
-check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-taint race-order fuzz-disasm fuzz-taint fuzz-order fuzz-verify
+check: build fmt vet lint metric-lint race race-vplane race-gateway race-tenant race-taint race-order fuzz-disasm fuzz-taint fuzz-order fuzz-verify fuzz-memory
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,12 @@ fuzz-order:
 # each new input is capped to keep the smoke short.
 fuzz-verify:
 	$(GO) test -fuzz=FuzzVerifyImage -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run '^$$' ./internal/runtime/
+
+# Short coverage-guided smoke of demand-paged enclave memory against a flat
+# reference model (identical values, faults and write-watch calls for
+# sequences of permission changes, reads, writes and instruction fetches).
+fuzz-memory:
+	$(GO) test -fuzz=FuzzMemory -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run '^$$' ./internal/enclave/
 
 test:
 	$(GO) test ./...

@@ -609,6 +609,71 @@ func TestSelfModifyingCodeInvalidatesICache(t *testing.T) {
 	}
 }
 
+func TestInstructionAcrossCodePageBoundary(t *testing.T) {
+	e, err := enclave.New(enclave.DefaultConfig(), []byte("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// mov rax, 42 starts three bytes before the first code page ends, so
+	// its immediate lies in the next page.
+	start := e.Layout.CodeBase + enclave.PageSize - 3
+	var text []byte
+	for _, in := range []isa.Inst{{Op: isa.OpMovRI, Dst: isa.RAX, Imm: 42}, {Op: isa.OpHlt}} {
+		text = isa.AppendEncode(text, &in)
+	}
+	if f := e.Mem.Write(start, text); f != nil {
+		t.Fatal(f)
+	}
+	c := New(e, Config{})
+	c.RIP = start
+	c.Regs[isa.RSP] = e.Layout.StackHi
+	if r := c.Run(); r.Status != StatusHalt || r.ExitValue != 42 || r.Insts != 2 {
+		t.Fatalf("result = %v", r)
+	}
+}
+
+func TestSelfModifyingCodeInUntouchedPage(t *testing.T) {
+	// mov rax, imm starts two bytes before the third code page, which
+	// nothing has written: it decodes as mov rax, 0 with its immediate read
+	// from zero memory. The program stores 42 into that immediate and a hlt
+	// after it (the first writes to the page), then jumps to it. The stores
+	// must drop the cached decoding made before they ran.
+	e, err := enclave.New(enclave.DefaultConfig(), []byte("t"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := e.Layout.CodeBase + 2*enclave.PageSize
+	target := edge - 2
+	prog := []isa.Inst{
+		{Op: isa.OpMovRI, Dst: isa.RBX, Imm: int64(edge)},
+		{Op: isa.OpMovMI, Mem: isa.Mem(isa.RBX, 0), Imm: 42},
+		{Op: isa.OpMovMI, Mem: isa.Mem(isa.RBX, 8), Imm: int64(isa.OpHlt)},
+		{Op: isa.OpJmp},
+	}
+	var text []byte
+	for i := range prog {
+		text = isa.AppendEncode(text, &prog[i])
+	}
+	prog[3].Imm = int64(target - (e.Layout.CodeBase + uint64(len(text))))
+	text = isa.AppendEncode(text[:len(text)-isa.EncodedLen(&prog[3])], &prog[3])
+	if f := e.Mem.Write(e.Layout.CodeBase, text); f != nil {
+		t.Fatal(f)
+	}
+	movRAX := isa.AppendEncode(nil, &isa.Inst{Op: isa.OpMovRI, Dst: isa.RAX})
+	if f := e.Mem.Write(target, movRAX[:edge-target]); f != nil {
+		t.Fatal(f)
+	}
+	c := New(e, Config{})
+	c.RIP = e.Layout.CodeBase
+	c.Regs[isa.RSP] = e.Layout.StackHi
+	if ci, f, err := c.decode(target); f != nil || err != nil || ci.inst.Op != isa.OpMovRI || ci.inst.Imm != 0 {
+		t.Fatalf("decoding across into the untouched page = %+v, %v, %v", ci.inst, f, err)
+	}
+	if r := c.Run(); r.Status != StatusHalt || r.ExitValue != 42 {
+		t.Fatalf("self-modified code did not take effect: %v", r)
+	}
+}
+
 func TestRangeSet(t *testing.T) {
 	rs := NewRangeSet([]Range{{10, 20}, {15, 25}, {40, 50}, {5, 5}})
 	if rs.Len() != 2 {

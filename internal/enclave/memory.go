@@ -2,9 +2,11 @@
 // DEFLECTION design depends on: an ELRANGE of protected memory with
 // page-granular R/W/X permissions (fixed after launch, as under SGXv1),
 // state-save areas written by asynchronous enclave exits, guard pages, and a
-// measured launch that anchors remote attestation.
+// measured launch that anchors remote attestation. Memory is demand paged
+// and zero on first touch, so launching an enclave costs its page table and
+// the pages it writes rather than its full size.
 //
-// Untrusted memory outside ELRANGE is part of the same flat address space
+// Untrusted memory outside ELRANGE is part of the same address space
 // and is freely readable and writable — writing enclave secrets there is
 // exactly the leak channel policies P1-P5 exist to close, so the model must
 // allow such writes at the architectural level and rely on verified
@@ -12,6 +14,7 @@
 package enclave
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -83,11 +86,15 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("enclave: %s fault at %#x (size %d)", f.Access, f.Addr, f.Size)
 }
 
-// Memory is a flat, page-permissioned address space starting at Base.
-// The zero value is not usable; construct with NewMemory.
+// Memory is a page-permissioned address space starting at Base. It is
+// demand paged: a page's frame is allocated on the first write to it, and a
+// page never written reads as zero through one shared, read-only zero page,
+// so a fresh Memory costs its page table, not its size. Memory is not safe
+// for concurrent use. The zero value is not usable; construct with
+// NewMemory.
 type Memory struct {
 	base  uint64
-	data  []byte
+	pages []*[PageSize]byte // nil until the page is first written
 	perms []Perm
 
 	// writeWatches are invoked after every successful write with the
@@ -96,6 +103,11 @@ type Memory struct {
 	// (self-modifying code).
 	writeWatches []func(addr uint64, size int)
 }
+
+// zeroPage backs every page that has never been written. It is only ever
+// read: writes allocate a private frame, and FetchWindow copies rather than
+// alias it.
+var zeroPage [PageSize]byte
 
 // NewMemory creates size bytes of unmapped memory based at base. base and
 // size must be page aligned.
@@ -108,7 +120,7 @@ func NewMemory(base, size uint64) (*Memory, error) {
 	}
 	return &Memory{
 		base:  base,
-		data:  make([]byte, size),
+		pages: make([]*[PageSize]byte, size/PageSize),
 		perms: make([]Perm, size/PageSize),
 	}, nil
 }
@@ -117,7 +129,7 @@ func NewMemory(base, size uint64) (*Memory, error) {
 func (m *Memory) Base() uint64 { return m.base }
 
 // End returns one past the highest mapped address.
-func (m *Memory) End() uint64 { return m.base + uint64(len(m.data)) }
+func (m *Memory) End() uint64 { return m.base + uint64(len(m.pages))*PageSize }
 
 // AddWriteWatch installs a callback observing successful writes.
 func (m *Memory) AddWriteWatch(fn func(addr uint64, size int)) {
@@ -163,13 +175,47 @@ func (m *Memory) check(addr uint64, size int, want Perm, acc Access) *Fault {
 	return nil
 }
 
+// page returns page pg for reading; a page never written is the zero page.
+func (m *Memory) page(pg uint64) *[PageSize]byte {
+	if p := m.pages[pg]; p != nil {
+		return p
+	}
+	return &zeroPage
+}
+
+// frame returns page pg for writing, allocating its frame on first use.
+func (m *Memory) frame(pg uint64) *[PageSize]byte {
+	p := m.pages[pg]
+	if p == nil {
+		p = new([PageSize]byte)
+		m.pages[pg] = p
+	}
+	return p
+}
+
+// load copies memory at offset off from Base into b, page by page.
+func (m *Memory) load(b []byte, off uint64) {
+	for len(b) > 0 {
+		n := copy(b, m.page(off / PageSize)[off%PageSize:])
+		b, off = b[n:], off+uint64(n)
+	}
+}
+
+// store copies b into memory at offset off from Base, page by page.
+func (m *Memory) store(off uint64, b []byte) {
+	for len(b) > 0 {
+		n := copy(m.frame(off / PageSize)[off%PageSize:], b)
+		b, off = b[n:], off+uint64(n)
+	}
+}
+
 // Read copies size bytes at addr into a fresh slice.
 func (m *Memory) Read(addr uint64, size int) ([]byte, *Fault) {
 	if f := m.check(addr, size, PermR, AccessRead); f != nil {
 		return nil, f
 	}
 	out := make([]byte, size)
-	copy(out, m.data[addr-m.base:])
+	m.load(out, addr-m.base)
 	return out, nil
 }
 
@@ -178,7 +224,7 @@ func (m *Memory) Write(addr uint64, b []byte) *Fault {
 	if f := m.check(addr, len(b), PermW, AccessWrite); f != nil {
 		return f
 	}
-	copy(m.data[addr-m.base:], b)
+	m.store(addr-m.base, b)
 	m.notifyWrite(addr, len(b))
 	return nil
 }
@@ -188,7 +234,7 @@ func (m *Memory) Read8(addr uint64) (uint8, *Fault) {
 	if f := m.check(addr, 1, PermR, AccessRead); f != nil {
 		return 0, f
 	}
-	return m.data[addr-m.base], nil
+	return m.page((addr - m.base) / PageSize)[addr%PageSize], nil
 }
 
 // Write8 stores one byte.
@@ -196,53 +242,51 @@ func (m *Memory) Write8(addr uint64, v uint8) *Fault {
 	if f := m.check(addr, 1, PermW, AccessWrite); f != nil {
 		return f
 	}
-	m.data[addr-m.base] = v
+	m.frame((addr - m.base) / PageSize)[addr%PageSize] = v
 	m.notifyWrite(addr, 1)
 	return nil
 }
 
-// Read64 loads a little-endian 64-bit word.
+// Read64 loads a little-endian 64-bit word. A word within one page takes
+// one page lookup; one straddling two pages is assembled byte-wise.
 func (m *Memory) Read64(addr uint64) (uint64, *Fault) {
 	if f := m.check(addr, 8, PermR, AccessRead); f != nil {
 		return 0, f
 	}
-	d := m.data[addr-m.base:]
-	return uint64(d[0]) | uint64(d[1])<<8 | uint64(d[2])<<16 | uint64(d[3])<<24 |
-		uint64(d[4])<<32 | uint64(d[5])<<40 | uint64(d[6])<<48 | uint64(d[7])<<56, nil
+	if in := addr % PageSize; in <= PageSize-8 {
+		return binary.LittleEndian.Uint64(m.page((addr - m.base) / PageSize)[in:]), nil
+	}
+	var b [8]byte
+	m.load(b[:], addr-m.base)
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// Write64 stores a little-endian 64-bit word.
+// Write64 stores a little-endian 64-bit word, like Read64 with one page
+// lookup unless the word straddles two pages.
 func (m *Memory) Write64(addr uint64, v uint64) *Fault {
 	if f := m.check(addr, 8, PermW, AccessWrite); f != nil {
 		return f
 	}
-	d := m.data[addr-m.base:]
-	d[0] = byte(v)
-	d[1] = byte(v >> 8)
-	d[2] = byte(v >> 16)
-	d[3] = byte(v >> 24)
-	d[4] = byte(v >> 32)
-	d[5] = byte(v >> 40)
-	d[6] = byte(v >> 48)
-	d[7] = byte(v >> 56)
+	if in := addr % PageSize; in <= PageSize-8 {
+		binary.LittleEndian.PutUint64(m.frame((addr - m.base) / PageSize)[in:], v)
+	} else {
+		m.store(addr-m.base, binary.LittleEndian.AppendUint64(nil, v))
+	}
 	m.notifyWrite(addr, 8)
 	return nil
 }
 
 // FetchWindow returns up to size bytes of executable memory starting at
-// addr, for instruction decoding. The returned slice aliases memory and must
-// not be written.
+// addr, for instruction decoding, clamped at the first non-executable page.
+// A window within one written page aliases memory and must not be written;
+// one that crosses into the next page, or lies in a page never written, is
+// a copy, so an instruction spanning two pages decodes whole and the zero
+// page is never handed out.
 func (m *Memory) FetchWindow(addr uint64, size int) ([]byte, *Fault) {
-	if addr < m.base || addr >= m.End() {
+	if m.PermAt(addr)&PermX == 0 { // also outside memory
 		return nil, &Fault{Addr: addr, Access: AccessExec, Size: size}
 	}
-	if m.PermAt(addr)&PermX == 0 {
-		return nil, &Fault{Addr: addr, Access: AccessExec, Size: size}
-	}
-	end := addr + uint64(size)
-	if end > m.End() {
-		end = m.End()
-	}
+	end := min(addr+uint64(size), m.End())
 	// Clamp the window at the first non-executable page so decoding cannot
 	// read across an X boundary.
 	for pg := addr/PageSize + 1; pg*PageSize < end; pg++ {
@@ -251,5 +295,11 @@ func (m *Memory) FetchWindow(addr uint64, size int) ([]byte, *Fault) {
 			break
 		}
 	}
-	return m.data[addr-m.base : end-m.base], nil
+	off, n := addr-m.base, end-addr
+	if p, lo := m.pages[off/PageSize], off%PageSize; p != nil && lo+n <= PageSize {
+		return p[lo : lo+n : lo+n], nil
+	}
+	win := make([]byte, n)
+	m.load(win, off)
+	return win, nil
 }

@@ -518,36 +518,50 @@ func TestVerifyRejectsForeignLayout(t *testing.T) {
 	}
 }
 
-// TestColdVerifyAllocatesNoEnclave guards the enclave-free cold path: a
-// cold Verify of a small program must allocate less than launching one
-// enclave does.
+// TestColdVerifyAllocatesNoEnclave guards the enclave-free cold path.
+// Enclave memory is demand paged, so launching an enclave allocates little
+// beyond a page table whose size follows the layout. A cold Verify that
+// launched a scratch enclave would therefore allocate more for a larger
+// layout, while one that only stages the binary allocates the same for any
+// layout. The oracle verifies one program against the default layout and
+// the paper's 96 MB one: the growth in what Verify allocates must stay
+// under half the growth in what launching the two enclaves allocates.
 func TestColdVerifyAllocatesNoEnclave(t *testing.T) {
 	m := manifestFor(policy.SetP1P6)
 	obj := compileObj(t, "int main() { return 42; }", policy.SetP1P6)
-	l := defaultLayout(t)
-	p := vplane.New(vplane.Config{CacheBytes: 1 << 20, Workers: 1})
-	defer p.Close()
 
-	allocated := func(f func()) uint64 {
+	allocated := func(f func()) int64 {
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
 		f()
 		goruntime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return int64(after.TotalAlloc - before.TotalAlloc)
 	}
-	launch := allocated(func() {
-		if _, err := runtime.New(enclave.DefaultConfig(), m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	verify := allocated(func() {
-		v, src, err := p.Verify(context.Background(), obj, m, l)
-		if err != nil || src != vplane.SourceCold || v.Image == nil {
-			t.Fatalf("cold verify: verdict %+v, source %v, err %v", v, src, err)
-		}
-	})
-	if verify >= launch {
-		t.Errorf("cold verify allocated %d bytes, launching an enclave %d: the cold path creates an enclave again", verify, launch)
+	launch := func(cfg enclave.Config) int64 {
+		return allocated(func() {
+			if _, err := runtime.New(cfg, m); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	t.Logf("cold verify %d bytes, enclave launch %d bytes", verify, launch)
+	verify := func(cfg enclave.Config) int64 {
+		p := vplane.New(vplane.Config{CacheBytes: 1 << 20, Workers: 1})
+		defer p.Close()
+		return allocated(func() {
+			v, src, err := p.Verify(context.Background(), obj, m, enclave.NewLayout(cfg))
+			if err != nil || src != vplane.SourceCold || v.Image == nil {
+				t.Fatalf("cold verify: verdict %+v, source %v, err %v", v, src, err)
+			}
+		})
+	}
+	small, large := enclave.DefaultConfig(), enclave.PaperConfig()
+	launchGrowth := launch(large) - launch(small)
+	verifyGrowth := verify(large) - verify(small)
+	if launchGrowth <= 0 {
+		t.Fatalf("launching the paper-sized enclave allocated %d bytes more than the default one; the oracle needs it to cost more", launchGrowth)
+	}
+	if verifyGrowth >= launchGrowth/2 {
+		t.Errorf("cold verify allocated %d bytes more for the larger layout, launching an enclave %d more: the cold path creates an enclave again", verifyGrowth, launchGrowth)
+	}
+	t.Logf("growth from default to paper layout: cold verify %d bytes, enclave launch %d bytes", verifyGrowth, launchGrowth)
 }
