@@ -194,13 +194,23 @@ func BenchmarkVerifier(b *testing.B) {
 	}
 }
 
+// BenchmarkDisassembler times the recursive-descent disassembly the
+// verifier runs, from the program entry and the listed branch targets.
 func BenchmarkDisassembler(b *testing.B) {
 	o := compiledObject(b)
-	b.SetBytes(int64(len(o.Text)))
+	ld, err := loader.Relocate(enclave.NewLayout(enclave.DefaultConfig()), o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := []int64{int64(ld.Entry - ld.TextBase)}
+	for _, t := range ld.BranchTargets {
+		entries = append(entries, int64(t-ld.TextBase))
+	}
+	b.SetBytes(int64(len(ld.Text)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := disasm.Linear(o.Text); err != nil {
+		if _, err := disasm.Disassemble(ld.Text, entries); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -205,12 +205,9 @@ func dumpCFG(o *obj.Object, format string) int {
 	g := cfa.Build(dis, entry.Offset, targets)
 	switch format {
 	case "dot":
-		if err := g.Dot(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+		renderTaintDot(g, nil, nil)
 	case "text":
-		fmt.Print(g.Text())
+		renderText(g)
 		if dead := g.DeadRanges(len(o.Text)); len(dead) > 0 {
 			for _, r := range dead {
 				fmt.Printf("dead [%#06x, %#06x): %d bytes unreachable\n", r.Lo, r.Hi, r.Hi-r.Lo)
@@ -344,6 +341,36 @@ func dumpOrderCFG(o *obj.Object, format string) int {
 	return 0
 }
 
+// renderText prints the graph as a block listing with each block's
+// predecessors and immediate dominator.
+func renderText(g *cfa.Graph) {
+	fmt.Printf("cfg: %d blocks, %d edges, entry %#x, %d listed targets\n",
+		len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets))
+	for _, b := range g.Blocks[1:] {
+		fmt.Printf("block %d [%#06x, %#06x) succs=%v preds=%v idom=%d\n",
+			b.ID, b.Start, b.End, b.Succs, b.Preds, g.Idom(b.ID))
+		for _, in := range b.Insts {
+			fmt.Printf("  %#06x  %s\n", in.Off, in.Inst.String())
+		}
+	}
+}
+
+// printDotEdges prints every CFG edge and closes the dot graph.
+func printDotEdges(g *cfa.Graph) {
+	name := func(id int) string {
+		if id == cfa.Root {
+			return "root"
+		}
+		return fmt.Sprintf("b%d", id)
+	}
+	for _, b := range g.Blocks {
+		for _, s := range b.Succs {
+			fmt.Printf("  %s -> %s;\n", name(b.ID), name(s))
+		}
+	}
+	fmt.Println("}")
+}
+
 // stateMask renders a protocol-state bitmask with the protocol's state
 // names; without a protocol there are no states to name.
 func stateMask(p *order.Protocol, m uint64) string {
@@ -404,18 +431,7 @@ func renderOrderDot(g *cfa.Graph, p *order.Protocol, rep *order.Report, findings
 		}
 		fmt.Printf("  b%d [label=\"%s\"%s];\n", b.ID, lbl.String(), attr)
 	}
-	name := func(id int) string {
-		if id == cfa.Root {
-			return "root"
-		}
-		return fmt.Sprintf("b%d", id)
-	}
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			fmt.Printf("  %s -> %s;\n", name(b.ID), name(s))
-		}
-	}
-	fmt.Println("}")
+	printDotEdges(g)
 }
 
 // regMask renders a register-taint bitmask as a comma list ("-" = clean).
@@ -455,6 +471,9 @@ func renderTaintText(g *cfa.Graph, rep *taint.Report, findings map[int64]taint.F
 	}
 }
 
+// renderTaintDot prints the graph in Graphviz dot syntax, annotated with
+// the taint report when there is one; without a report it is the plain
+// CFG.
 func renderTaintDot(g *cfa.Graph, rep *taint.Report, findings map[int64]taint.Finding) {
 	fmt.Println("digraph cfg {\n  node [shape=box fontname=\"monospace\"];")
 	fmt.Println("  root [label=\"root\" shape=ellipse];")
@@ -480,16 +499,5 @@ func renderTaintDot(g *cfa.Graph, rep *taint.Report, findings map[int64]taint.Fi
 		}
 		fmt.Printf("  b%d [label=\"%s\"%s];\n", b.ID, lbl.String(), attr)
 	}
-	name := func(id int) string {
-		if id == cfa.Root {
-			return "root"
-		}
-		return fmt.Sprintf("b%d", id)
-	}
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			fmt.Printf("  %s -> %s;\n", name(b.ID), name(s))
-		}
-	}
-	fmt.Println("}")
+	printDotEdges(g)
 }

@@ -32,10 +32,7 @@
 package cfa
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
+	"slices"
 
 	"deflection/internal/disasm"
 	"deflection/internal/isa"
@@ -53,7 +50,7 @@ type Block struct {
 	// The virtual root has Start = End = -1.
 	Start, End int64
 	// Insts lists the block's instructions in address order (empty for the
-	// virtual root).
+	// virtual root). It aliases Dis.Insts and must not be modified.
 	Insts []disasm.Inst
 	// Succs/Preds are CFG-adjacent block IDs, deduplicated, in ascending
 	// order.
@@ -97,12 +94,16 @@ type Graph struct {
 	// Edges counts CFG edges (excluding the virtual root's).
 	Edges int
 
-	byOff  map[int64]int // instruction offset → containing block ID
-	rpo    []int         // reverse postorder from the virtual root
-	rpoNum []int         // block ID → position in rpo
-	idom   []int         // block ID → immediate dominator ID (-1 unreachable)
+	blockOf []int32 // instruction position → containing block ID
+	rpo     []int   // reverse postorder from the virtual root
+	rpoNum  []int   // block ID → position in rpo
+	idom    []int   // block ID → immediate dominator ID (-1 unreachable)
 
-	instPreds map[int64][]int64 // lazily built by InstPreds
+	// predStart/preds hold InstPreds in compressed rows: the predecessors
+	// of instruction position i are preds[predStart[i]:predStart[i+1]].
+	// Built on first use.
+	predStart []int32
+	preds     []int32
 }
 
 // Build recovers the CFG for a successful disassembly and computes its
@@ -113,7 +114,7 @@ func Build(dis *disasm.Result, entry int64, targets []int64) *Graph {
 		Dis:     dis,
 		Entry:   entry,
 		Targets: append([]int64(nil), targets...),
-		byOff:   make(map[int64]int, len(dis.Insts)),
+		blockOf: make([]int32, len(dis.Insts)),
 	}
 	g.splitBlocks()
 	g.connect()
@@ -121,165 +122,169 @@ func Build(dis *disasm.Result, entry int64, targets []int64) *Graph {
 	return g
 }
 
-// splitBlocks partitions the decoded instructions into basic blocks.
+// splitBlocks partitions the decoded instructions into basic blocks: a
+// block starts at every block start the disassembler marked, after every
+// gap in the decoded bytes and after every control transfer.
 func (g *Graph) splitBlocks() {
-	root := &Block{ID: Root, Start: -1, End: -1}
-	g.Blocks = []*Block{root}
-
-	var cur *Block
-	flush := func() {
-		if cur != nil && len(cur.Insts) > 0 {
-			cur.End = cur.Insts[len(cur.Insts)-1].End()
-			g.Blocks = append(g.Blocks, cur)
-			cur = nil
+	insts := g.Dis.Insts
+	var firsts []int
+	for i, in := range insts {
+		if i == 0 || g.Dis.BlockStart(i) || in.Off != insts[i-1].End() || insts[i-1].Op.IsBranch() {
+			firsts = append(firsts, i)
 		}
 	}
-	var prevEnd int64 = -1
-	for _, off := range g.Dis.Offsets {
-		in := g.Dis.Insts[off]
-		if cur == nil || g.Dis.BlockStarts[off] || off != prevEnd {
-			flush()
-			cur = &Block{Start: off}
+	blocks := make([]Block, len(firsts)+1)
+	blocks[Root] = Block{ID: Root, Start: -1, End: -1}
+	g.Blocks = make([]*Block, len(blocks))
+	g.Blocks[Root] = &blocks[Root]
+	for k, lo := range firsts {
+		hi := len(insts)
+		if k+1 < len(firsts) {
+			hi = firsts[k+1]
 		}
-		cur.Insts = append(cur.Insts, in)
-		prevEnd = in.End()
-		if in.Op.IsBranch() {
-			flush()
-		}
-	}
-	flush()
-
-	for i, b := range g.Blocks {
-		b.ID = i
-		for _, in := range b.Insts {
-			g.byOff[in.Off] = i
+		id := k + 1
+		blocks[id] = Block{ID: id, Start: insts[lo].Off, End: insts[hi-1].End(), Insts: insts[lo:hi:hi]}
+		g.Blocks[id] = &blocks[id]
+		for i := lo; i < hi; i++ {
+			g.blockOf[i] = int32(id)
 		}
 	}
 }
 
+// blockID returns the ID of the block containing the instruction at off,
+// or -1 when off is not a decoded instruction start.
+func (g *Graph) blockID(off int64) int {
+	if i := g.Dis.Index(off); i >= 0 {
+		return int(g.blockOf[i])
+	}
+	return -1
+}
+
 // connect adds the CFG edges.
 func (g *Graph) connect() {
-	succSet := make([]map[int]bool, len(g.Blocks))
-	addEdge := func(from, to int) {
-		if succSet[from] == nil {
-			succSet[from] = make(map[int]bool, 2)
-		}
-		succSet[from][to] = true
-	}
-
 	// Indirect-branch successor set: every listed target's block.
 	var targetBlocks []int
-	seenT := make(map[int]bool)
+	seen := make([]bool, len(g.Blocks))
 	for _, t := range g.Targets {
-		if id, ok := g.byOff[t]; ok && !seenT[id] {
-			seenT[id] = true
+		if id := g.blockID(t); id >= 0 && !seen[id] {
+			seen[id] = true
 			targetBlocks = append(targetBlocks, id)
+		}
+	}
+	addEdge := func(from, to int) {
+		if to >= 0 {
+			g.Blocks[from].Succs = append(g.Blocks[from].Succs, to)
 		}
 	}
 
 	for _, b := range g.Blocks[1:] {
 		last := b.Last()
-		fallthru := func() {
-			if id, ok := g.byOff[last.End()]; ok {
-				addEdge(b.ID, id)
-			}
-		}
 		switch last.Op {
 		case isa.OpJmp:
-			if id, ok := g.byOff[disasm.DirectTarget(last)]; ok {
-				addEdge(b.ID, id)
-			}
+			addEdge(b.ID, g.blockID(disasm.DirectTarget(last)))
 		case isa.OpJcc, isa.OpCall:
-			if id, ok := g.byOff[disasm.DirectTarget(last)]; ok {
-				addEdge(b.ID, id)
-			}
-			fallthru()
+			addEdge(b.ID, g.blockID(disasm.DirectTarget(last)))
+			addEdge(b.ID, g.blockID(last.End()))
 		case isa.OpJmpR, isa.OpCallR:
-			for _, id := range targetBlocks {
-				addEdge(b.ID, id)
-			}
+			b.Succs = append(b.Succs, targetBlocks...)
 			if last.Op == isa.OpCallR {
-				fallthru()
+				addEdge(b.ID, g.blockID(last.End()))
 			}
 		case isa.OpRet, isa.OpHlt, isa.OpTrap:
 			// No successors.
 		default:
-			fallthru()
+			addEdge(b.ID, g.blockID(last.End()))
 		}
 	}
 
 	// Virtual root → entry and every listed target.
-	if id, ok := g.byOff[g.Entry]; ok {
-		addEdge(Root, id)
-	}
-	for _, id := range targetBlocks {
-		addEdge(Root, id)
-	}
+	addEdge(Root, g.blockID(g.Entry))
+	g.Blocks[Root].Succs = append(g.Blocks[Root].Succs, targetBlocks...)
 
-	for from, set := range succSet {
-		if set == nil {
-			continue
-		}
-		succs := make([]int, 0, len(set))
-		for to := range set {
-			succs = append(succs, to)
-		}
-		sort.Ints(succs)
-		g.Blocks[from].Succs = succs
-		for _, to := range succs {
-			g.Blocks[to].Preds = append(g.Blocks[to].Preds, from)
-		}
-		if from != Root {
-			g.Edges += len(succs)
-		}
-	}
+	// Blocks are visited in ascending ID order, so every Preds list comes
+	// out sorted.
 	for _, b := range g.Blocks {
-		sort.Ints(b.Preds)
+		slices.Sort(b.Succs)
+		b.Succs = slices.Compact(b.Succs)
+		for _, to := range b.Succs {
+			g.Blocks[to].Preds = append(g.Blocks[to].Preds, b.ID)
+		}
+		if b.ID != Root {
+			g.Edges += len(b.Succs)
+		}
 	}
 }
 
 // BlockAt returns the block containing the instruction at off, or nil when
 // off is not a decoded instruction start.
 func (g *Graph) BlockAt(off int64) *Block {
-	if id, ok := g.byOff[off]; ok {
+	if id := g.blockID(off); id >= 0 {
 		return g.Blocks[id]
 	}
 	return nil
 }
 
-// InstPreds returns the offsets of every instruction that can immediately
-// precede the instruction at off in some execution: its linear predecessor
-// when that one falls through, every direct branch targeting off, and —
-// when off is on the branch-target list — every indirect branch. The map
-// is built once, on first use.
-func (g *Graph) InstPreds(off int64) []int64 {
-	if g.instPreds == nil {
-		g.instPreds = make(map[int64][]int64, len(g.Dis.Insts))
-		targetSet := make(map[int64]bool, len(g.Targets))
-		for _, t := range g.Targets {
-			targetSet[t] = true
-		}
-		var indirect []int64
-		add := func(to, from int64) {
-			g.instPreds[to] = append(g.instPreds[to], from)
-		}
-		for _, from := range g.Dis.Offsets {
-			in := g.Dis.Insts[from]
-			if !in.Op.Terminates() {
-				add(in.End(), from)
-			}
-			switch in.Op {
-			case isa.OpJmp, isa.OpJcc, isa.OpCall:
-				add(disasm.DirectTarget(in), from)
-			case isa.OpJmpR, isa.OpCallR:
-				indirect = append(indirect, from)
-			}
-		}
-		for t := range targetSet {
-			g.instPreds[t] = append(g.instPreds[t], indirect...)
+// InstPreds returns the positions (in Dis.Insts) of every instruction that
+// can immediately precede instruction position i in some execution: its
+// linear predecessor when that one falls through and every direct branch
+// targeting it, in address order, then — when it is on the branch-target
+// list — every indirect branch, in address order. The lists are built
+// once, on first use.
+func (g *Graph) InstPreds(i int) []int32 {
+	if g.predStart == nil {
+		g.buildInstPreds()
+	}
+	return g.preds[g.predStart[i]:g.predStart[i+1]]
+}
+
+func (g *Graph) buildInstPreds() {
+	insts := g.Dis.Insts
+	listed := make([]bool, len(insts))
+	for _, t := range g.Targets {
+		if i := g.Dis.Index(t); i >= 0 {
+			listed[i] = true
 		}
 	}
-	return g.instPreds[off]
+	var indirect []int32
+	// each calls f(to, from) for every edge, in the order the rows list
+	// them.
+	each := func(f func(to int, from int32)) {
+		for from, in := range insts {
+			if !in.Op.Terminates() {
+				if to := g.Dis.Index(in.End()); to >= 0 {
+					f(to, int32(from))
+				}
+			}
+			if in.Op == isa.OpJmp || in.Op == isa.OpJcc || in.Op == isa.OpCall {
+				if to := g.Dis.Index(disasm.DirectTarget(in)); to >= 0 {
+					f(to, int32(from))
+				}
+			}
+		}
+		for to, ok := range listed {
+			if ok {
+				for _, from := range indirect {
+					f(to, from)
+				}
+			}
+		}
+	}
+	for from, in := range insts {
+		if in.Op.IsIndirectBranch() {
+			indirect = append(indirect, int32(from))
+		}
+	}
+	next := make([]int32, len(insts)+1)
+	each(func(to int, _ int32) { next[to+1]++ })
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	g.predStart = slices.Clone(next)
+	g.preds = make([]int32, next[len(insts)])
+	each(func(to int, from int32) {
+		g.preds[next[to]] = from
+		next[to]++
+	})
 }
 
 // Reachable reports whether the block is reachable from the virtual root.
@@ -297,11 +302,11 @@ type Range struct{ Lo, Hi int64 }
 func (g *Graph) DeadRanges(textLen int) []Range {
 	var dead []Range
 	var pos int64
-	for _, off := range g.Dis.Offsets {
-		if off > pos {
-			dead = append(dead, Range{Lo: pos, Hi: off})
+	for _, in := range g.Dis.Insts {
+		if in.Off > pos {
+			dead = append(dead, Range{Lo: pos, Hi: in.Off})
 		}
-		if end := g.Dis.Insts[off].End(); end > pos {
+		if end := in.End(); end > pos {
 			pos = end
 		}
 	}
@@ -309,48 +314,4 @@ func (g *Graph) DeadRanges(textLen int) []Range {
 		dead = append(dead, Range{Lo: pos, Hi: int64(textLen)})
 	}
 	return dead
-}
-
-// Text renders the graph as a human-readable block listing.
-func (g *Graph) Text() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "cfg: %d blocks, %d edges, entry %#x, %d listed targets\n",
-		len(g.Blocks)-1, g.Edges, g.Entry, len(g.Targets))
-	for _, b := range g.Blocks[1:] {
-		fmt.Fprintf(&sb, "block %d [%#06x, %#06x) succs=%v preds=%v idom=%d\n",
-			b.ID, b.Start, b.End, b.Succs, b.Preds, g.idom[b.ID])
-		for _, in := range b.Insts {
-			fmt.Fprintf(&sb, "  %#06x  %s\n", in.Off, in.Inst.String())
-		}
-	}
-	return sb.String()
-}
-
-// Dot writes the graph in Graphviz dot syntax.
-func (g *Graph) Dot(w io.Writer) error {
-	var sb strings.Builder
-	sb.WriteString("digraph cfg {\n  node [shape=box fontname=\"monospace\"];\n")
-	fmt.Fprintf(&sb, "  root [label=\"root\" shape=ellipse];\n")
-	for _, b := range g.Blocks[1:] {
-		var lbl strings.Builder
-		fmt.Fprintf(&lbl, "[%#06x, %#06x)\\l", b.Start, b.End)
-		for _, in := range b.Insts {
-			fmt.Fprintf(&lbl, "%#06x  %s\\l", in.Off, in.Inst.String())
-		}
-		fmt.Fprintf(&sb, "  b%d [label=\"%s\"];\n", b.ID, lbl.String())
-	}
-	name := func(id int) string {
-		if id == Root {
-			return "root"
-		}
-		return fmt.Sprintf("b%d", id)
-	}
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			fmt.Fprintf(&sb, "  %s -> %s;\n", name(b.ID), name(s))
-		}
-	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

@@ -1,7 +1,7 @@
 package cfa_test
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"deflection/internal/asmtext"
@@ -64,7 +64,7 @@ func TestDiamondBlocksAndDominance(t *testing.T) {
 	g, o := build(t, diamond)
 	// Expected blocks: [cmp,je] [mov,jmp] [left: mov] [join: mov,hlt].
 	if got := len(g.Blocks) - 1; got != 4 {
-		t.Fatalf("got %d blocks, want 4:\n%s", got, g.Text())
+		t.Fatalf("got %d blocks, want 4", got)
 	}
 	head := g.BlockAt(off(t, o, "_start"))
 	left := g.BlockAt(off(t, o, "left"))
@@ -139,7 +139,7 @@ fn_in:
 	guard := g.BlockAt(off(t, o, "_start"))
 	fn := g.BlockAt(off(t, o, "fn"))
 	if fn == nil {
-		t.Fatalf("no block at fn:\n%s", g.Text())
+		t.Fatal("no block at fn")
 	}
 	if g.Dominates(guard.ID, fn.ID) {
 		t.Error("entry must not dominate a listed indirect target")
@@ -207,6 +207,7 @@ func TestDeadRanges(t *testing.T) {
 func TestInstPreds(t *testing.T) {
 	g, o := build(t, `
 .entry _start
+.target fn
 .func _start
   mov rax, 1
 store:
@@ -215,22 +216,31 @@ store:
   je done
   jmp store
 done:
+  jmp rax
+.func fn
+  brmark
+  call rax
   hlt
 `)
-	store := off(t, o, "store")
+	store := g.Dis.Index(off(t, o, "store"))
 	preds := g.InstPreds(store)
 	if len(preds) != 2 {
 		t.Fatalf("preds(store) = %v, want linear pred + jmp", preds)
 	}
-	// One pred is the linear predecessor, one is the jmp.
-	var haveJmp bool
-	for _, p := range preds {
-		if in, ok := g.Dis.At(p); ok && in.Op.String() == "jmp" {
-			haveJmp = true
+	// The linear predecessor comes first, then the back-branch.
+	if preds[0] != int32(store-1) || g.Dis.Insts[preds[1]].Op.String() != "jmp" {
+		t.Errorf("preds(store) = %v, want [%d, the jmp]", preds, store-1)
+	}
+	// A listed target is preceded by every indirect branch, in address
+	// order, and by nothing else here.
+	var indirect []int32
+	for i, in := range g.Dis.Insts {
+		if in.Op.IsIndirectBranch() {
+			indirect = append(indirect, int32(i))
 		}
 	}
-	if !haveJmp {
-		t.Errorf("preds(store) = %v lacks the back-branch", preds)
+	if got := g.InstPreds(g.Dis.Index(off(t, o, "fn"))); len(indirect) != 2 || !slices.Equal(got, indirect) {
+		t.Errorf("preds(fn) = %v, want the indirect branches %v", got, indirect)
 	}
 }
 
@@ -253,21 +263,5 @@ func TestDefMask(t *testing.T) {
 	}
 	if mask&(1<<3) != 0 {
 		t.Errorf("def mask %#x claims rdx, which is only read", mask)
-	}
-}
-
-func TestRenderings(t *testing.T) {
-	g, _ := build(t, diamond)
-	txt := g.Text()
-	if !strings.Contains(txt, "blocks") || !strings.Contains(txt, "block 1") {
-		t.Errorf("text rendering incomplete:\n%s", txt)
-	}
-	var sb strings.Builder
-	if err := g.Dot(&sb); err != nil {
-		t.Fatal(err)
-	}
-	dot := sb.String()
-	if !strings.Contains(dot, "digraph cfg") || !strings.Contains(dot, "->") {
-		t.Errorf("dot rendering incomplete:\n%s", dot)
 	}
 }

@@ -41,8 +41,9 @@ type Loaded struct {
 	// Text is the relocated code destined for [TextBase, TextEnd);
 	// RewriteImmediates patches it in place.
 	Text []byte
-	// Data is the initial [DataBase, HeapFree) segment: relocated .data
-	// followed by zeroed .bss.
+	// Data is the relocated .data, destined for DataBase. The rest of the
+	// data segment, [DataBase+len(Data), HeapFree), is zero: alignment
+	// padding and .bss, which is not staged.
 	Data []byte
 	// Table is the content of the read-only branch-table region:
 	// BranchTargets as little-endian 64-bit words.
@@ -98,11 +99,9 @@ func Relocate(l enclave.Layout, o *obj.Object) (*Loaded, error) {
 		syms[s.Name] = base + uint64(s.Offset)
 	}
 
-	// Apply relocations on private copies of the sections; the heap
-	// segment holds .data followed by zeroed .bss.
+	// Apply relocations on private copies of the sections.
 	text := append([]byte(nil), o.Text...)
-	data := make([]byte, heapFree-dataBase)
-	copy(data, o.Data)
+	data := append([]byte(nil), o.Data...)
 	for _, r := range o.Relocs {
 		addr, ok := syms[r.Symbol]
 		if !ok {
@@ -113,7 +112,7 @@ func Relocate(l enclave.Layout, o *obj.Object) (*Loaded, error) {
 		case obj.SecText:
 			sec = text
 		case obj.SecData:
-			sec = data[:len(o.Data)]
+			sec = data
 		default:
 			return nil, fmt.Errorf("%w: relocation in unsupported section %v", ErrUnresolved, r.Section)
 		}

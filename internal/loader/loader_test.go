@@ -96,21 +96,19 @@ func TestLoadPlacesSections(t *testing.T) {
 	if ld.Entry != ld.Symbols["_start"] {
 		t.Error("entry mismatch")
 	}
-	// The staged data segment spans [DataBase, HeapFree): .data, then
-	// zeroed .bss.
-	if got := uint64(len(ld.Data)); got != ld.HeapFree-ld.DataBase {
-		t.Fatalf("staged data %d bytes, want %d", got, ld.HeapFree-ld.DataBase)
+	// Only .data is staged; .bss lies after it, inside [DataBase,
+	// HeapFree), and is left to install.
+	if string(ld.Data) != string(o.Data) {
+		t.Fatalf("staged data %q, want .data %q", ld.Data, o.Data)
 	}
-	if b := ld.Data[ld.Symbols["greet"]-ld.DataBase]; b != 'h' {
-		t.Errorf("staged data = %q, want greeting", b)
-	}
-	for i := ld.Symbols["scratch"] - ld.DataBase; i < uint64(len(ld.Data)); i++ {
-		if ld.Data[i] != 0 {
-			t.Fatalf("bss byte %d = %#x, want 0", i, ld.Data[i])
-		}
+	scratch := ld.Symbols["scratch"]
+	if scratch < ld.DataBase+uint64(len(ld.Data)) || scratch+64 > ld.HeapFree {
+		t.Fatalf("bss [%#x, %#x) outside [DataBase+len(Data), HeapFree) = [%#x, %#x)",
+			scratch, scratch+64, ld.DataBase+uint64(len(ld.Data)), ld.HeapFree)
 	}
 
-	// Installed, the sections land at their relocated addresses.
+	// Installed, the sections land at their relocated addresses and the
+	// whole segment after .data reads zero.
 	e := install(t, ld)
 	b, f := e.Mem.Read8(ld.Symbols["greet"])
 	if f != nil || b != 'h' {
@@ -119,6 +117,13 @@ func TestLoadPlacesSections(t *testing.T) {
 	text, f := e.Mem.Read(ld.TextBase, len(ld.Text))
 	if f != nil || string(text) != string(ld.Text) {
 		t.Errorf("text not copied: %v", f)
+	}
+	seg, f := e.Mem.Read(ld.DataBase, int(ld.HeapFree-ld.DataBase))
+	if f != nil {
+		t.Fatal(f)
+	}
+	if want := append(append([]byte(nil), ld.Data...), make([]byte, len(seg)-len(ld.Data))...); string(seg) != string(want) {
+		t.Errorf("installed data segment %x, want %x", seg, want)
 	}
 }
 
@@ -228,10 +233,7 @@ int main() {
 	if err != nil {
 		// Linear decode can fail on data-like padding; fall back to the
 		// verified instruction set.
-		insts = nil
-		for _, off := range vr.Dis.Offsets {
-			insts = append(insts, vr.Dis.Insts[off])
-		}
+		insts = vr.Dis.Insts
 	}
 	for _, in := range insts {
 		switch in.Imm {

@@ -52,8 +52,8 @@ func RewriteImmediates(ld *Loaded, dis *disasm.Result) (stats RewriteStats, err 
 		return nil
 	}
 
-	for _, off := range dis.Offsets {
-		in := dis.Insts[off]
+	for _, in := range dis.Insts {
+		off := in.Off
 		if immOff := isa.ImmOffset(&in.Inst); immOff >= 0 {
 			if v, hit := imm64Map[in.Imm]; hit {
 				if err := patch(off+int64(immOff), binary.LittleEndian.AppendUint64(buf[:0], v)); err != nil {

@@ -95,7 +95,8 @@ func goldenCorpus(t testing.TB) []goldenCase {
 // imageDigest hashes everything an Image carries except wall-clock
 // durations: the addresses, the text, data and branch-table bytes, the
 // branch targets, annotation ranges, verifier stats, rewrite counts, the
-// audit trail and the layout.
+// audit trail and the layout. The data segment is hashed whole, .bss
+// included, as it was when images stored it.
 func imageDigest(img *runtime.Image) string {
 	h := sha256.New()
 	blob := func(b []byte) {
@@ -105,7 +106,8 @@ func imageDigest(img *runtime.Image) string {
 	fmt.Fprintf(h, "%x|%#x|%#x|%#x|%#x|%#x|", img.BinaryHash, img.Entry,
 		img.TextBase, img.TextEnd, img.DataBase, img.HeapFree)
 	blob(img.Text)
-	blob(img.Data)
+	h.Write(binary.LittleEndian.AppendUint64(nil, img.HeapFree-img.DataBase))
+	img.WriteDataSegment(h)
 	blob(img.BranchTable)
 	fmt.Fprintf(h, "%v|%v|%+v|%d/%d/%d|", img.BranchTargets, img.AnnotRanges, img.Stats,
 		img.Rewrites.StoreBounds, img.Rewrites.StackBounds, img.Rewrites.SSASites)

@@ -284,21 +284,18 @@ func (v *verifier) dominancePass(g *cfa.Graph, res *Result) error {
 		// No edge may enter the check sequence anywhere but its start (a
 		// jump to the start merely re-runs the full check, which is safe;
 		// an interior entry would run only half the bounds comparison).
-		cur := a.lo
-		for cur < a.hi {
-			ci, ok := v.dis.At(cur)
-			if !ok {
+		insts := v.dis.Insts
+		for i := v.dis.Index(a.lo) + 1; i > 0 && i < len(insts); i++ {
+			cur := insts[i].Off
+			if cur >= a.hi || insts[i-1].End() != cur {
 				break
 			}
-			if cur != a.lo {
-				for _, p := range g.InstPreds(cur) {
-					if p < a.write || p >= a.hi {
-						return v.cfaViolation("dominance", policy.P2, cur,
-							"stack-bounds check at %#x enterable mid-sequence from %#x", a.lo, p)
-					}
+			for _, p := range g.InstPreds(i) {
+				if from := insts[p].Off; from < a.write || from >= a.hi {
+					return v.cfaViolation("dominance", policy.P2, cur,
+						"stack-bounds check at %#x enterable mid-sequence from %#x", a.lo, from)
 				}
 			}
-			cur = ci.End()
 		}
 		res.CFA.Anchors++
 	}
@@ -315,26 +312,28 @@ func (v *verifier) checkClobberFree(g *cfa.Graph, a storeAnchor) error {
 	if a.regs == 0 {
 		return nil
 	}
-	visited := map[int64]bool{a.store: true}
-	queue := []int64{a.store}
+	if v.visit == nil {
+		v.visit = make([]uint32, len(v.dis.Insts))
+	}
+	v.visitGen++
+	store, lo := int32(v.dis.Index(a.store)), int32(v.dis.Index(a.lo))
+	v.visit[store] = v.visitGen
+	queue := []int32{store}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, p := range g.InstPreds(cur) {
-			if p >= a.lo && p < a.store {
+		for _, p := range g.InstPreds(int(cur)) {
+			if p >= lo && p < store {
 				continue // inside this anchor's annotation: path is checked
 			}
-			if visited[p] {
+			if v.visit[p] == v.visitGen {
 				continue
 			}
-			visited[p] = true
-			in, ok := v.dis.At(p)
-			if !ok {
-				continue
-			}
+			v.visit[p] = v.visitGen
+			in := v.dis.Insts[p]
 			if r, hit := writesAny(in, a.regs); hit {
 				return v.cfaViolation("reaching-defs", a.policy, a.store,
-					"register %v checked at %#x is redefined at %#x before the store", r, a.lo, p)
+					"register %v checked at %#x is redefined at %#x before the store", r, a.lo, in.Off)
 			}
 			queue = append(queue, p)
 		}

@@ -166,18 +166,17 @@ type verifier struct {
 	opts Options
 	dis  *disasm.Result
 
-	// prev maps an instruction offset to the offset of the unique
-	// instruction that ends exactly there (its linear predecessor).
-	prev map[int64]int64
+	// flags holds the per-instruction facts, indexed by position in
+	// dis.Insts.
+	flags  []instFlags
+	ranges []Range
+	stats  Stats
 
-	ranges     []Range
-	annotated  map[int64]policy.ID // annotation offsets → owning policy
-	rangeStart map[int64]bool      // first offsets of annotation ranges
-	stats      Stats
-	guarded    map[int64]bool // anchors with verified guards
-	checks     map[int64]bool // offsets where a verified P6 check starts
-
-	targetSet map[int64]bool
+	// visit and visitGen are checkClobberFree's visited set, shared by all
+	// store anchors: position i is visited in the current walk when
+	// visit[i] == visitGen.
+	visit    []uint32
+	visitGen uint32
 
 	// storeAnchors/rspAnchors are the annotated P1/P2 instructions the CFA
 	// dominance pass re-verifies, collected by the template matchers.
@@ -186,6 +185,20 @@ type verifier struct {
 
 	durs [9]time.Duration // per-policy check time, indexed by policy.ID
 }
+
+// instFlags are the facts the passes record about one instruction.
+type instFlags struct {
+	owner policy.ID // policy owning the annotation, when annotated
+	bits  uint8
+}
+
+const (
+	annotated  uint8 = 1 << iota // inside a verified annotation
+	rangeStart                   // first instruction of an annotation range
+	guarded                      // anchor with a verified guard
+	aexCheck                     // start of a verified P6 check
+	listed                       // on the proof's branch-target list
+)
 
 // storeAnchor is one template-verified store guard: the guarded store, the
 // annotation span that checks it, the registers the checked address is
@@ -250,21 +263,15 @@ func Verify(text []byte, opts Options) (*Result, error) {
 		return nil, &Violation{Policy: policy.P5, Pass: "decode", Msg: err.Error()}
 	}
 	v := &verifier{
-		text:       text,
-		opts:       opts,
-		dis:        dis,
-		prev:       make(map[int64]int64, len(dis.Insts)),
-		annotated:  make(map[int64]policy.ID),
-		rangeStart: make(map[int64]bool),
-		guarded:    make(map[int64]bool),
-		checks:     make(map[int64]bool),
-		targetSet:  make(map[int64]bool, len(opts.BranchTargetOffsets)),
-	}
-	for _, in := range dis.Insts {
-		v.prev[in.End()] = in.Off
+		text:  text,
+		opts:  opts,
+		dis:   dis,
+		flags: make([]instFlags, len(dis.Insts)),
 	}
 	for _, t := range opts.BranchTargetOffsets {
-		v.targetSet[t] = true
+		if i := dis.Index(t); i >= 0 {
+			v.flags[i].bits |= listed
+		}
 	}
 	v.stats.Instructions = len(dis.Insts)
 
@@ -369,13 +376,9 @@ func storeGuardOwner(req policy.Set) policy.ID {
 // bounds (P3: critical data, P4: code pages), that every store anchor is
 // either guarded or inside a verified annotation.
 func (v *verifier) auditStoreCoverage(id policy.ID) error {
-	for _, off := range v.dis.Offsets {
-		in := v.dis.Insts[off]
-		if !in.Op.IsStore() {
-			continue
-		}
-		if !v.guarded[off] && !v.inRange(off) {
-			return v.violation(id, off, "store escaped the shared bounds guard (%v)", id)
+	for i, in := range v.dis.Insts {
+		if in.Op.IsStore() && v.flags[i].bits&(guarded|annotated) == 0 {
+			return v.violation(id, in.Off, "store escaped the shared bounds guard (%v)", id)
 		}
 	}
 	return nil
@@ -428,40 +431,50 @@ func (v *verifier) buildAudit(req policy.Set, cfaStats *CFAStats) []PolicyAudit 
 	return audit
 }
 
-func (v *verifier) inRange(off int64) bool { _, ok := v.annotated[off]; return ok }
-
+// strictlyInRange reports whether off is an instruction inside an
+// annotation range other than its first.
 func (v *verifier) strictlyInRange(off int64) bool {
-	return v.inRange(off) && !v.rangeStart[off]
+	i := v.dis.Index(off)
+	return i >= 0 && v.flags[i].bits&(annotated|rangeStart) == annotated
 }
 
 // addRange records [lo, hi) as verified annotation code owned by policy id,
-// marking every decoded instruction offset inside it (ranges are short, so
-// this stays linear in total annotation size).
+// marking every instruction of the contiguous run that starts at lo and
+// lies inside it (ranges are short, so this stays linear in total
+// annotation size).
 func (v *verifier) addRange(lo, hi int64, id policy.ID) {
 	v.ranges = append(v.ranges, Range{Lo: lo, Hi: hi})
-	v.rangeStart[lo] = true
-	for cur := lo; cur < hi; {
-		in, ok := v.dis.At(cur)
-		if !ok {
+	i := v.dis.Index(lo)
+	if i < 0 {
+		return
+	}
+	v.flags[i].bits |= rangeStart
+	insts := v.dis.Insts
+	for ; i < len(insts) && insts[i].Off < hi; i++ {
+		v.flags[i].bits |= annotated
+		v.flags[i].owner = id
+		if i+1 < len(insts) && insts[i+1].Off != insts[i].End() {
 			break
 		}
-		v.annotated[cur] = id
-		cur = in.End()
 	}
 }
 
-// back returns the n-th linear predecessor of the instruction at off.
+// back returns the n-th linear predecessor of the instruction at off: the
+// walk steps to the previous position only while that instruction ends
+// exactly where the current one starts.
 func (v *verifier) back(off int64, n int) (disasm.Inst, bool) {
-	cur := off
-	for i := 0; i < n; i++ {
-		p, ok := v.prev[cur]
-		if !ok {
+	i := v.dis.Index(off)
+	if i < 0 {
+		return disasm.Inst{}, false
+	}
+	insts := v.dis.Insts
+	for ; n > 0; n-- {
+		if i == 0 || insts[i-1].End() != insts[i].Off {
 			return disasm.Inst{}, false
 		}
-		cur = p
+		i--
 	}
-	in, ok := v.dis.At(cur)
-	return in, ok
+	return insts[i], true
 }
 
 // next returns the linear successor of the instruction at off.
@@ -507,7 +520,7 @@ func (v *verifier) scanBeaconPattern() error {
 		if binary.LittleEndian.Uint64(v.text[off:]) != pat {
 			continue
 		}
-		if !v.targetSet[int64(off)] {
+		if i := v.dis.Index(int64(off)); i < 0 || v.flags[i].bits&listed == 0 {
 			return v.violation(policy.P5, int64(off), "BRMARK pattern outside the branch-target list")
 		}
 	}
@@ -595,10 +608,10 @@ func (v *verifier) matchP6Arming() error {
 }
 
 func (v *verifier) matchAEXChecks() error {
-	for _, off := range v.dis.Offsets {
-		if end, ok := v.aexCheckShape(off); ok {
-			v.checks[off] = true
-			v.addRange(off, end, policy.P6)
+	for i, in := range v.dis.Insts {
+		if end, ok := v.aexCheckShape(in.Off); ok {
+			v.flags[i].bits |= aexCheck
+			v.addRange(in.Off, end, policy.P6)
 			v.stats.AEXChecks++
 		}
 	}
@@ -642,17 +655,19 @@ func (v *verifier) shadowPushShape(off int64) (int64, bool) {
 // listed jump-table labels carry a beacon but no push, which is safe: a
 // forged call there still cannot return past the shadow check.
 func (v *verifier) matchShadowPushes() error {
-	seen := make(map[int64]bool)
-	for _, off := range v.dis.Offsets {
-		in := v.dis.Insts[off]
+	// seen marks the positions of direct-call targets; every one was
+	// decoded, since Disassemble enqueues each direct target.
+	seen := make([]bool, len(v.dis.Insts))
+	for _, in := range v.dis.Insts {
 		if in.Op != isa.OpCall {
 			continue
 		}
 		t := disasm.DirectTarget(in)
-		if seen[t] {
+		ti := v.dis.Index(t)
+		if seen[ti] {
 			continue
 		}
-		seen[t] = true
+		seen[ti] = true
 		if t == v.opts.EntryOffset {
 			continue
 		}
@@ -670,7 +685,7 @@ func (v *verifier) matchShadowPushes() error {
 	// Listed targets beginning with beacon+push are functions; record
 	// their push ranges too so coverage rules know them.
 	for _, t := range v.opts.BranchTargetOffsets {
-		if seen[t] {
+		if seen[v.dis.Index(t)] { // listed targets are entries, so decoded
 			continue
 		}
 		if bm, ok := v.dis.At(t); ok && bm.Op == isa.OpBrMark {
@@ -728,16 +743,16 @@ func (v *verifier) returnCheckShape(retOff int64) (int64, bool) {
 }
 
 func (v *verifier) matchReturnChecks() error {
-	for _, off := range v.dis.Offsets {
-		if v.dis.Insts[off].Op != isa.OpRet {
+	for i, in := range v.dis.Insts {
+		if in.Op != isa.OpRet {
 			continue
 		}
-		lo, ok := v.returnCheckShape(off)
+		lo, ok := v.returnCheckShape(in.Off)
 		if !ok {
-			return v.violation(policy.P5, off, "return without shadow-stack check (P5)")
+			return v.violation(policy.P5, in.Off, "return without shadow-stack check (P5)")
 		}
-		v.addRange(lo, off, policy.P5)
-		v.guarded[off] = true
+		v.addRange(lo, in.Off, policy.P5)
+		v.flags[i].bits |= guarded
 		v.stats.ShadowChecks++
 	}
 	return nil
@@ -787,8 +802,8 @@ func (v *verifier) cfiGuardShape(brOff int64, target isa.Reg) (int64, bool) {
 }
 
 func (v *verifier) matchCFIGuards() error {
-	for _, off := range v.dis.Offsets {
-		in := v.dis.Insts[off]
+	for i, in := range v.dis.Insts {
+		off := in.Off
 		if !in.Op.IsIndirectBranch() {
 			continue
 		}
@@ -800,7 +815,7 @@ func (v *verifier) matchCFIGuards() error {
 			return v.violation(policy.P5, off, "indirect branch without CFI guard (P5)")
 		}
 		v.addRange(lo, off, policy.P5)
-		v.guarded[off] = true
+		v.flags[i].bits |= guarded
 		v.stats.CFIGuards++
 	}
 	return nil
@@ -809,13 +824,9 @@ func (v *verifier) matchCFIGuards() error {
 // checkReservedRegisters: user code must never write the shadow-stack
 // pointer.
 func (v *verifier) checkReservedRegisters() error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
-			continue
-		}
-		in := v.dis.Insts[off]
-		if in.WritesReg(isa.RegShadow) {
-			return v.violation(policy.P5, off, "user instruction writes reserved shadow-stack register")
+	for i, in := range v.dis.Insts {
+		if v.flags[i].bits&annotated == 0 && in.WritesReg(isa.RegShadow) {
+			return v.violation(policy.P5, in.Off, "user instruction writes reserved shadow-stack register")
 		}
 	}
 	return nil
@@ -844,12 +855,9 @@ func (v *verifier) rspGuardShape(afterOff int64) (int64, bool) {
 }
 
 func (v *verifier) matchRSPGuards() error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
-			continue
-		}
-		in := v.dis.Insts[off]
-		if !in.Inst.ModifiesRSP() {
+	for i, in := range v.dis.Insts {
+		off := in.Off
+		if v.flags[i].bits&annotated != 0 || !in.Inst.ModifiesRSP() {
 			continue
 		}
 		end, ok := v.rspGuardShape(in.End())
@@ -857,7 +865,7 @@ func (v *verifier) matchRSPGuards() error {
 			return v.violation(policy.P2, off, "explicit RSP write without stack-bounds check (P2)")
 		}
 		v.addRange(in.End(), end, policy.P2)
-		v.guarded[off] = true
+		v.flags[i].bits |= guarded
 		v.rspAnchors = append(v.rspAnchors, rspAnchor{write: off, lo: in.End(), hi: end})
 		v.stats.RSPGuards++
 	}
@@ -922,20 +930,17 @@ func (v *verifier) storeGuardShape(stOff int64, mem isa.MemRef, id policy.ID) (i
 }
 
 func (v *verifier) matchStoreGuards(id policy.ID) error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
+	for i, in := range v.dis.Insts {
+		off := in.Off
+		if v.flags[i].bits&annotated != 0 || !in.Op.IsStore() {
 			continue // stores inside verified annotations are trusted
-		}
-		in := v.dis.Insts[off]
-		if !in.Op.IsStore() {
-			continue
 		}
 		lo, ok := v.storeGuardShape(off, in.Mem, id)
 		if !ok {
 			return v.violation(id, off, "store without bounds check (P1)")
 		}
 		v.addRange(lo, off, id)
-		v.guarded[off] = true
+		v.flags[i].bits |= guarded
 		var regs uint16
 		if in.Mem.HasBase {
 			regs |= 1 << in.Mem.Base
@@ -956,23 +961,24 @@ func (v *verifier) matchStoreGuards(id policy.ID) error {
 // reach annotation tails are impossible because the disassembler already
 // rejected mid-instruction targets.
 func (v *verifier) checkBranchDiscipline() error {
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
+	for i, in := range v.dis.Insts {
+		if v.flags[i].bits&annotated != 0 {
 			continue
 		}
-		in := v.dis.Insts[off]
 		switch in.Op {
 		case isa.OpJmp, isa.OpJcc, isa.OpCall:
 			t := disasm.DirectTarget(in)
 			if v.strictlyInRange(t) {
-				return v.violation(v.annotated[t], off, "branch into the middle of a %v security annotation", v.annotated[t])
+				id := v.flags[v.dis.Index(t)].owner
+				return v.violation(id, in.Off, "branch into the middle of a %v security annotation", id)
 			}
 		}
 	}
 	// Listed indirect targets must not point into annotations either.
 	for _, t := range v.opts.BranchTargetOffsets {
 		if v.strictlyInRange(t) {
-			return v.violation(v.annotated[t], t, "branch-target list entry inside a %v security annotation", v.annotated[t])
+			id := v.flags[v.dis.Index(t)].owner
+			return v.violation(id, t, "branch-target list entry inside a %v security annotation", id)
 		}
 	}
 	return nil
@@ -987,25 +993,25 @@ func (v *verifier) checkBranchDiscipline() error {
 //     stub) begins within a small prefix, so loops cannot skip checks.
 func (v *verifier) checkAEXCoverage() error {
 	gap := 0
-	for _, off := range v.dis.Offsets {
-		if v.checks[off] {
+	for i, in := range v.dis.Insts {
+		if v.flags[i].bits&aexCheck != 0 {
 			gap = 0
 			continue
 		}
-		if v.inRange(off) {
+		if v.flags[i].bits&annotated != 0 {
 			continue
 		}
 		gap++
 		if gap > v.opts.AEXCheckMaxGap {
-			return v.violation(policy.P6, off, "more than %d instructions without an AEX check (P6)", v.opts.AEXCheckMaxGap)
+			return v.violation(policy.P6, in.Off, "more than %d instructions without an AEX check (P6)", v.opts.AEXCheckMaxGap)
 		}
 	}
 
-	for _, off := range v.dis.Offsets {
-		if v.inRange(off) {
+	for i, in := range v.dis.Insts {
+		if v.flags[i].bits&annotated != 0 {
 			continue
 		}
-		in := v.dis.Insts[off]
+		off := in.Off
 		var t int64
 		switch in.Op {
 		case isa.OpJmp, isa.OpJcc, isa.OpCall:
@@ -1026,19 +1032,20 @@ func (v *verifier) checkAEXCoverage() error {
 func (v *verifier) checkNearTarget(t int64) bool {
 	cur := t
 	for hops := 0; hops < 256; hops++ {
-		in, ok := v.dis.At(cur)
-		if !ok {
+		i := v.dis.Index(cur)
+		if i < 0 {
 			return false
 		}
+		in, f := v.dis.Insts[i], v.flags[i].bits
 		switch {
-		case v.checks[cur]:
+		case f&aexCheck != 0:
 			return true
 		case in.Op == isa.OpBrMark:
 			cur = in.End()
 		case in.Op == isa.OpTrap || in.Op == isa.OpHlt || in.Op == isa.OpRet:
 			// Terminal stubs and returns execute O(1) user instructions.
 			return true
-		case v.inRange(cur):
+		case f&annotated != 0:
 			cur = in.End()
 		default:
 			return false
