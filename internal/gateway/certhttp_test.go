@@ -28,7 +28,7 @@ func testImage() *runtime.Image {
 		BranchTargets: []uint64{0x1000, 0x1010},
 		AnnotRanges:   []verifier.Range{{Lo: 0, Hi: 3}},
 		Stats:         verifier.Stats{StoreGuards: 2, Instructions: 3},
-		Layout:        enclave.Layout{ELRBase: 0x1000, ELREnd: 0x100000, Threads: 1},
+		Layout:        enclave.Layout{ELRBase: 0x1000, ELREnd: 0x100000, HeapBase: 0x2000, HeapEnd: 0x10000, Threads: 1},
 	}
 	img.BinaryHash[0] = 0x42
 	return img
@@ -37,12 +37,16 @@ func testImage() *runtime.Image {
 // signedCert issues a platform-signed certificate over img.
 func signedCert(t *testing.T, p *attest.Platform, img *runtime.Image) *attest.VerdictCert {
 	t.Helper()
+	digest, err := vplane.ImageDigest(img)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cert := &attest.VerdictCert{
 		Measurement: [32]byte{0xAA},
 		Key:         [32]byte{0x01, 0x02},
 		BinaryHash:  img.BinaryHash,
 		ManifestFP:  []byte("manifest-fp"),
-		ImageDigest: vplane.ImageDigest(img),
+		ImageDigest: digest,
 	}
 	if err := p.SignVerdict(cert); err != nil {
 		t.Fatalf("sign: %v", err)
@@ -92,8 +96,8 @@ func TestCertHTTPRoundTrip(t *testing.T) {
 	// The image survives JSON intact: the digest recomputed from the
 	// fetched copy matches the certificate's binding, which is exactly the
 	// admission check vplane will run.
-	if vplane.ImageDigest(gotImg) != cert.ImageDigest {
-		t.Fatal("image digest changed across the HTTP round trip")
+	if d, err := vplane.ImageDigest(gotImg); err != nil || d != cert.ImageDigest {
+		t.Fatalf("image digest changed across the HTTP round trip (err %v)", err)
 	}
 	if gotImg.Stats != img.Stats {
 		t.Fatalf("verdict evidence lost: %+v", gotImg.Stats)

@@ -2,8 +2,10 @@ package vplane_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"deflection/attest"
 	"deflection/internal/asmtext"
@@ -25,6 +27,17 @@ type certFleet struct {
 	regA     *obs.Registry
 	regB     *obs.Registry
 	a, b     *vplane.Plane
+
+	mu sync.Mutex
+	// rejectedB holds the reason of every certificate B refused.
+	rejectedB []string
+}
+
+// rejectReasonsB returns the reasons B logged for refused certificates.
+func (f *certFleet) rejectReasonsB() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.rejectedB...)
 }
 
 func newCertFleet(t *testing.T) *certFleet {
@@ -43,8 +56,8 @@ func newCertFleet(t *testing.T) *certFleet {
 		regA:     obs.NewRegistry(),
 		regB:     obs.NewRegistry(),
 	}
-	newPlane := func(reg *obs.Registry) *vplane.Plane {
-		p := vplane.New(vplane.Config{CacheBytes: 1 << 20, Workers: 1, QueueDepth: 4, Metrics: reg})
+	newPlane := func(reg *obs.Registry, log func(string, ...any)) *vplane.Plane {
+		p := vplane.New(vplane.Config{CacheBytes: 1 << 20, Workers: 1, QueueDepth: 4, Metrics: reg, Log: log})
 		p.EnableCerts(vplane.CertConfig{
 			Measurement: f.meas,
 			Sign:        platform.SignVerdict,
@@ -53,7 +66,14 @@ func newCertFleet(t *testing.T) *certFleet {
 		})
 		return p
 	}
-	f.a, f.b = newPlane(f.regA), newPlane(f.regB)
+	logB := func(event string, kv ...any) {
+		if event == "vplane_cert_rejected" && len(kv) >= 4 {
+			f.mu.Lock()
+			f.rejectedB = append(f.rejectedB, fmt.Sprint(kv[3]))
+			f.mu.Unlock()
+		}
+	}
+	f.a, f.b = newPlane(f.regA, nil), newPlane(f.regB, logB)
 	t.Cleanup(func() { f.a.Close(); f.b.Close() })
 	return f
 }
@@ -158,6 +178,65 @@ func TestCertTamperedImageFallsBackCold(t *testing.T) {
 	}
 	if got := f.regB.Counter("vplane_verify_runs_total").Value(); got != 1 {
 		t.Errorf("B runs = %d, want 1 (cold fallback)", got)
+	}
+}
+
+// TestCertForgedSegmentFallsBackCold: the store can pair a genuine
+// certificate with an image whose data-segment bounds are forged. Hashing
+// such a segment would never finish, so admission must refuse it before
+// the digest and fall back to a cold run at once.
+func TestCertForgedSegmentFallsBackCold(t *testing.T) {
+	forgeries := []struct {
+		name   string
+		forge  func(img *runtime.Image)
+		reason string
+	}{
+		{"huge bss", func(img *runtime.Image) { img.HeapFree = img.DataBase + 1<<62 }, "data segment"},
+		{"inverted segment", func(img *runtime.Image) { img.DataBase = img.HeapFree + 8 }, "data segment"},
+		{"heap widened with it", func(img *runtime.Image) {
+			img.Layout.HeapEnd = img.DataBase + 1<<62
+			img.HeapFree = img.Layout.HeapEnd
+		}, "layout mismatch"},
+	}
+	for _, tc := range forgeries {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newCertFleet(t)
+			obj := compileObj(t, "int buf[16]; int main() { buf[3] = 4; return buf[3]; }", policy.SetP1)
+			m := manifestFor(policy.SetP1)
+			l := defaultLayout(t)
+			if _, _, err := f.a.Verify(context.Background(), obj, m, l); err != nil {
+				t.Fatal(err)
+			}
+			key := vplane.ComputeKey(obj, m, l)
+			cert, img, ok := f.store.GetCert(key)
+			if !ok {
+				t.Fatal("no certificate published")
+			}
+			evil := *img
+			tc.forge(&evil)
+			if err := f.store.PutCert(cert, &evil); err != nil {
+				t.Fatal(err)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			v, src, err := f.b.Verify(ctx, obj, m, l)
+			if err != nil {
+				t.Fatalf("forged certified image stalled admission: %v", err)
+			}
+			if src != vplane.SourceCold || v.Image == nil {
+				t.Fatalf("B: src=%v verdict=%+v, want a cold accept", src, v)
+			}
+			if v.Image.HeapFree != img.HeapFree {
+				t.Fatal("B's image carries the forged segment")
+			}
+			if got := f.regB.Counter("vplane_cert_rejected_total").Value(); got != 1 {
+				t.Errorf("cert_rejected = %d, want 1", got)
+			}
+			if reasons := f.rejectReasonsB(); len(reasons) != 1 || reasons[0] != tc.reason {
+				t.Errorf("rejection reasons = %q, want [%q]", reasons, tc.reason)
+			}
+		})
 	}
 }
 
@@ -393,10 +472,15 @@ func TestCertLookupSingleFlight(t *testing.T) {
 // digest differently (the digest must pin the address map the text was
 // rewritten for).
 func TestImageDigestCoversLayout(t *testing.T) {
-	img := &runtime.Image{Text: []byte{1, 2, 3}, Layout: defaultLayout(t)}
+	l := defaultLayout(t)
+	img := &runtime.Image{Text: []byte{1, 2, 3}, DataBase: l.HeapBase, HeapFree: l.HeapBase, Layout: l}
 	other := *img
 	other.Layout.HeapEnd += 4096
-	if vplane.ImageDigest(img) == vplane.ImageDigest(&other) {
-		t.Fatal("image digest ignores the enclave layout")
+	d, err := vplane.ImageDigest(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dOther, err := vplane.ImageDigest(&other); err != nil || d == dOther {
+		t.Fatalf("image digest ignores the enclave layout (err %v)", err)
 	}
 }

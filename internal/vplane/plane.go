@@ -211,7 +211,7 @@ func (p *Plane) runFlight(f *flight, tid obs.TraceID, key Key, objBytes []byte, 
 	// An admitted certificate becomes an ordinary cache entry, so repeat
 	// submissions hit the local cache without touching the store again.
 	certStart := time.Now()
-	if v, ok := p.tryCertified(key, m); ok {
+	if v, ok := p.tryCertified(key, m, l); ok {
 		p.cache.Put(v)
 		p.m.Histogram("vplane_verify_certified_seconds").ObserveDuration(time.Since(certStart))
 		p.cfg.Spans.Observe(tid, "vplane/cert_fetch", certStart, time.Since(certStart),
